@@ -17,9 +17,9 @@ class Table3IndexingBench extends SparkSpec {
     // Every dataset indexes successfully with a non-trivial tree.
     assert(rows.forall(_.nNodes > 0))
     assert(rows.forall(_.indexingTimeMs > 0))
-    // Paper shape: BK is by far the cheapest of the four to index.
-    val byName = rows.map(r => r.name -> r).toMap
-    assert(byName("BK").indexingTimeMs <= rows.map(_.indexingTimeMs).max)
-    assert(byName("BK").nNodes <= rows.map(_.nNodes).max)
+    // Paper shape (EXPERIMENTS.md): AMINER's large item set gives the most
+    // nodes, then SYN, GW and BK.
+    val nodes = rows.map(r => r.name -> r.nNodes).toMap
+    assert(nodes("AMINER") > nodes("SYN") && nodes("SYN") > nodes("GW") && nodes("GW") > nodes("BK"), nodes)
   }
 }

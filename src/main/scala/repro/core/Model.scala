@@ -66,6 +66,11 @@ final case class NetworkStats(
 
 object DatabaseNetwork {
 
+  /** The `txId` of the ti-th transaction of vertex v: v in the high 32
+    * bits, ti in the low 32, so ids never collide across vertices.
+    */
+  def txId(v: Int, ti: Int): Long = (v.toLong << 32) | ti.toLong
+
   /** Build the DataFrame model from driver-side collections.
     *
     * @param n     number of vertices (ids 0..n−1)
@@ -88,7 +93,7 @@ object DatabaseNetwork {
       v    <- 0 until n
       (t, ti) <- txs(v).zipWithIndex
       item <- t.distinct
-    } yield (v, (v.toLong << 20) | ti.toLong, item)
+    } yield (v, txId(v, ti), item)
     DatabaseNetwork(
       spark.range(n).select($"id".cast("int") as "id"),
       canon.toDF("src", "dst"),

@@ -94,11 +94,17 @@ object TCTree {
     *
     * Layer 1 (single items) is embarrassingly parallel — the paper uses
     * OpenMP threads; we distribute the items over Spark tasks with the
-    * compact network broadcast. Deeper layers go level-by-level: each
-    * sibling pair (n_f, n_b) with s_{n_f} ≺ s_{n_b} yields candidate child
-    * pattern p_f ∪ p_b whose truss is computed *inside*
-    * C*_{p_f}(0) ∩ C*_{p_b}(0) (Proposition 5.3); empty intersections are
-    * pruned on the driver without shipping a task.
+    * compact network broadcast. Every deeper node lies in the subtree of
+    * one layer-1 node n_i and is built only from nodes of that subtree and
+    * from n_i's later siblings: a sibling pair (n_f, n_b) with
+    * s_{n_f} ≺ s_{n_b} yields child pattern p_f ∪ p_b whose truss is
+    * computed *inside* C*_{p_f}(0) ∩ C*_{p_b}(0) (Proposition 5.3). So each
+    * layer-1 subtree is an independent unit of work, as in Eclat's prefix
+    * equivalence classes (Zaki, TKDE 2000): the α = 0 trusses of layer 1 are
+    * broadcast as sorted edge-key arrays, and one Spark task per layer-1
+    * node grows its whole subtree depth-first, intersecting siblings by a
+    * linear merge and skipping empty intersections before decomposing. The
+    * tasks return their nodes in pre-order; the driver only attaches them.
     *
     * @param maxDepth safety cap on pattern length (the enumeration
     *                 terminates on its own when decompositions are empty).
@@ -106,62 +112,122 @@ object TCTree {
   def build(spark: SparkSession, net: CompactNetwork, maxDepth: Int = Int.MaxValue): TCTree = {
     val sc = spark.sparkContext
     val bc = sc.broadcast(net)
-
-    def computeDecomp(pattern: Vector[Int], within: Iterable[(Int, Int)], n: CompactNetwork): Decomposition = {
-      val f = MinerOps.freqFn(n, pattern)
-      LocalTruss.decompose(LocalTruss.themeInduce(within, f), f)
-    }
-
     val root = new TCNode(-1, Vector.empty, Decomposition.empty)
 
     // Layer 1: every item of S in parallel (Algorithm 4 lines 2-5).
     val layer1 = sc
       .parallelize(net.items.toIndexedSeq, MinerOps.slices(spark, net.items.length))
-      .map { s =>
+      .flatMap { s =>
         val n = bc.value
-        (s, computeDecomp(Vector(s), n.edgeList, n))
+        val d = computeDecomp(n, Vector(s), n.edgeList)
+        if (d.isEmpty) None else Some(Row(1, s, d))
       }
-      .filter(!_._2.isEmpty)
       .collect()
-      .sortBy(_._1)
-    layer1.foreach { case (s, d) => root.children += new TCNode(s, Vector(s), d) }
+      .sortBy(_.item)
+      .map(r => new TCNode(r.item, Vector(r.item), r.decomp))
+    root.children ++= layer1
 
-    // Deeper layers, breadth-first (Algorithm 4 lines 6-12). `parentLevel`
-    // holds the nodes whose children form the deepest completed level; each
-    // such child group is a sibling set generating the next level.
-    var parentLevel: Vector[TCNode] = Vector(root)
-    var depth = 1
-    while (parentLevel.nonEmpty && depth < maxDepth) {
-      val parents = mutable.ArrayBuffer.empty[TCNode]
-      val tasks = mutable.ArrayBuffer.empty[(Int, Int, Vector[Int], Vector[(Int, Int)])]
-      for (p <- parentLevel if p.children.nonEmpty) {
-        val sib = p.children.sortBy(_.item).toVector
-        val edgeKeys = sib.map(n => n.trussAt(0.0).map(e => LocalTruss.ekey(e._1, e._2)).toSet)
-        for (i <- sib.indices; j <- (i + 1) until sib.length) {
-          val nf = sib(i); val nb = sib(j)
-          val inter = nf.trussAt(0.0).filter(e => edgeKeys(j).contains(LocalTruss.ekey(e._1, e._2)))
-          if (inter.nonEmpty) {
-            parents += nf
-            tasks += ((parents.length - 1, nb.item, nf.pattern :+ nb.item, inter))
-          }
+    // Deeper layers (Algorithm 4 lines 6-12): one task per layer-1 subtree.
+    if (maxDepth > 1 && layer1.length > 1) {
+      val sibs = sc.broadcast(layer1.map(n => Sibling(n.item, edgeKeys(n.decomp))))
+      val subtrees = sc
+        .parallelize(layer1.indices, layer1.length)
+        .map { i =>
+          val ss = sibs.value
+          val out = Array.newBuilder[Row]
+          growSubtree(bc.value, Vector(ss(i).item), ss(i).keys, ss.drop(i + 1), maxDepth, out)
+          out.result()
+        }
+        .collect()
+      sibs.destroy()
+      // Each subtree's rows are in pre-order, so a row's parent is the last
+      // row one level up. Nodes are then created depth by depth: that is
+      // the breadth-first order in which Algorithm 5 walks them, so the
+      // tree is laid out in memory the way queries read it.
+      val rows = mutable.ArrayBuffer.empty[(Row, Int)] // (row, index of its parent in `nodes`)
+      for ((subtree, i) <- subtrees.iterator.zipWithIndex) {
+        val path = mutable.ArrayBuffer(-1, i)
+        for (r <- subtree) {
+          path.dropRightInPlace(path.length - r.depth)
+          rows += ((r, path.last))
+          path += layer1.length + rows.length - 1
         }
       }
-      if (tasks.nonEmpty) {
-        val results = sc
-          .parallelize(tasks.toIndexedSeq, MinerOps.slices(spark, tasks.length))
-          .map { case (ref, item, pattern, edges) =>
-            (ref, item, pattern, computeDecomp(pattern, edges, bc.value))
-          }
-          .filter(!_._4.isEmpty)
-          .collect()
-        results.sortBy(r => (r._1, r._2)).foreach { case (ref, item, pattern, d) =>
-          parents(ref).children += new TCNode(item, pattern, d)
-        }
+      val nodes = layer1 ++ new Array[TCNode](rows.length)
+      for (k <- rows.indices.sortBy(rows(_)._1.depth)) { // stable: pre-order within a depth
+        val (r, p) = rows(k)
+        val node = new TCNode(r.item, nodes(p).pattern :+ r.item, r.decomp)
+        nodes(p).children += node
+        nodes(layer1.length + k) = node
       }
-      parentLevel = parentLevel.flatMap(_.children)
-      depth += 1
     }
     bc.destroy()
     new TCTree(root)
+  }
+
+  /** A node as seen by its siblings while its subtree is grown: its item and
+    * the sorted edge keys of C*_p(0). Lives only inside a build task.
+    */
+  private final case class Sibling(item: Int, keys: Array[Long])
+
+  /** A node as a build task returns it: depth, item and L_p with its edges as
+    * canonical keys, since primitive arrays serialise far faster than
+    * vectors of edge tuples.
+    */
+  private final class Row(val depth: Int, val item: Int, thresholds: Array[Double], removed: Array[Array[Long]])
+      extends Serializable {
+    def decomp: Decomposition =
+      Decomposition(thresholds.indices.map(k => (thresholds(k), removed(k).iterator.map(LocalTruss.dekey).toVector)).toVector)
+  }
+
+  private object Row {
+    def apply(depth: Int, item: Int, d: Decomposition): Row =
+      new Row(depth, item, d.nodes.map(_._1).toArray,
+              d.nodes.map(_._2.iterator.map(e => LocalTruss.ekey(e._1, e._2)).toArray).toArray)
+  }
+
+  private def computeDecomp(net: CompactNetwork, pattern: Vector[Int], within: Iterable[(Int, Int)]): Decomposition = {
+    val f = MinerOps.freqFn(net, pattern)
+    LocalTruss.decompose(LocalTruss.themeInduce(within, f), f)
+  }
+
+  /** Sorted canonical keys of C*_p(0), i.e. of every edge in L_p. */
+  private def edgeKeys(d: Decomposition): Array[Long] = {
+    val keys = d.nodes.iterator.flatMap(_._2).map(e => LocalTruss.ekey(e._1, e._2)).toArray
+    java.util.Arrays.sort(keys)
+    keys
+  }
+
+  /** Linear merge of two sorted key arrays. */
+  private def intersect(a: Array[Long], b: Array[Long]): Array[Long] = {
+    val out = new Array[Long](math.min(a.length, b.length))
+    var i = 0; var j = 0; var k = 0
+    while (i < a.length && j < b.length) {
+      if (a(i) == b(j)) { out(k) = a(i); k += 1; i += 1; j += 1 }
+      else if (a(i) < b(j)) i += 1
+      else j += 1
+    }
+    java.util.Arrays.copyOf(out, k)
+  }
+
+  /** Appends, in pre-order, the subtree below the node with `pattern` and
+    * α = 0 truss `keys`, whose later siblings are `later` (ascending item).
+    */
+  private def growSubtree(net: CompactNetwork, pattern: Vector[Int], keys: Array[Long], later: Array[Sibling],
+                          maxDepth: Int, out: mutable.Growable[Row]): Unit = {
+    val children = mutable.ArrayBuffer.empty[(Vector[Int], Decomposition, Sibling)]
+    for (b <- later) {
+      val within = intersect(keys, b.keys)
+      if (within.nonEmpty) {
+        val p = pattern :+ b.item
+        val d = computeDecomp(net, p, within.map(LocalTruss.dekey))
+        if (!d.isEmpty) children += ((p, d, Sibling(b.item, edgeKeys(d))))
+      }
+    }
+    val sibs = children.map(_._3).toArray
+    for (((p, d, c), k) <- children.iterator.zipWithIndex) {
+      out += Row(p.length, c.item, d)
+      if (p.length < maxDepth) growSubtree(net, p, c.keys, sibs.drop(k + 1), maxDepth, out)
+    }
   }
 }

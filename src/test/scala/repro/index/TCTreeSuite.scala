@@ -1,6 +1,7 @@
 package repro.index
 
 import repro.core._
+import repro.netgen.NetGen
 import repro.{SparkSpec, TestNets}
 
 /** TC-Tree construction (Algorithm 4) and query answering (Algorithm 5)
@@ -13,6 +14,37 @@ class TCTreeSuite extends SparkSpec {
   private lazy val plantedCompact = plantedNet.compact
   private lazy val plantedTree = TCTree.build(spark, plantedCompact, maxDepth = 4)
   private lazy val plantedExact = TCFI.run(spark, plantedCompact, 0.0, maxLen = 4)
+
+  /** Algorithm 4 as the paper states it: breadth-first, level by level,
+    * with no Spark. Each child is decomposed inside the intersection of its
+    * two generating siblings' α = 0 trusses, given as sorted edges.
+    */
+  private def breadthFirstTree(net: CompactNetwork, maxDepth: Int): TCNode = {
+    def decompose(p: Vector[Int], within: Iterable[(Int, Int)]): Decomposition = {
+      val f = MinerOps.freqFn(net, p)
+      LocalTruss.decompose(LocalTruss.themeInduce(within, f), f)
+    }
+    val root = new TCNode(-1, Vector.empty, Decomposition.empty)
+    for (s <- net.items) {
+      val d = decompose(Vector(s), net.edgeList)
+      if (!d.isEmpty) root.children += new TCNode(s, Vector(s), d)
+    }
+    var level = Vector(root)
+    var depth = 1
+    while (level.nonEmpty && depth < maxDepth) {
+      for (parent <- level; sib = parent.children.toVector; i <- sib.indices; j <- (i + 1) until sib.length) {
+        val within = sib(i).trussAt(0.0).toSet.intersect(sib(j).trussAt(0.0).toSet)
+        if (within.nonEmpty) {
+          val p = sib(i).pattern :+ sib(j).item
+          val d = decompose(p, within.toVector.sorted)
+          if (!d.isEmpty) sib(i).children += new TCNode(sib(j).item, p, d)
+        }
+      }
+      level = level.flatMap(_.children)
+      depth += 1
+    }
+    root
+  }
 
   test("triangle net: nodes are exactly {0}, {1}, {0,1}") {
     assert(triTree.nodes.map(_.pattern).toSet ==
@@ -138,6 +170,56 @@ class TCTreeSuite extends SparkSpec {
   test("nodesAtDepth partitions the nodes by pattern length") {
     val byDepth = (1 to plantedTree.maxDepth).map(d => plantedTree.nodesAtDepth(d).length).sum
     assert(byDepth == plantedTree.nNodes)
+  }
+
+  test("build equals a breadth-first Algorithm 4 node for node, at every depth cap") {
+    val nets = Seq("planted" -> plantedCompact, "bkLike" -> NetGen.bkLike(300, seed = 5).compact)
+    for ((name, net) <- nets; maxDepth <- Seq(1, 2, 3, Int.MaxValue)) {
+      val ctx = s"$name maxDepth=$maxDepth"
+      def same(got: TCNode, want: TCNode): Unit = {
+        assert(got.pattern == want.pattern, ctx)
+        assert(got.children.map(_.pattern) == want.children.map(_.pattern), s"$ctx ${Pattern.key(got.pattern)}")
+        assert(got.decomp.nodes.map(_._1) == want.decomp.nodes.map(_._1), s"$ctx ${Pattern.key(got.pattern)}")
+        assert(got.decomp.nodes.map(_._2.toSet) == want.decomp.nodes.map(_._2.toSet), s"$ctx ${Pattern.key(got.pattern)}")
+        got.children.zip(want.children).foreach { case (g, w) => same(g, w) }
+      }
+      val tree = TCTree.build(spark, net, maxDepth)
+      same(tree.root, breadthFirstTree(net, maxDepth))
+      assert(tree.maxDepth <= maxDepth, ctx)
+    }
+  }
+
+  test("tie rule: at alpha = each stored threshold, trussAt, mptd and DistributedMPTD agree") {
+    import spark.implicits._
+    // Case (node, β_k, C*_p(β_{k−1})): β_k is the least cohesion in C*_p(β_{k−1}).
+    val cases = for {
+      node <- plantedTree.nodes
+      (beta, k) <- node.decomp.nodes.map(_._1).zipWithIndex
+    } yield (node, beta, node.trussAt(if (k == 0) 0.0 else node.decomp.nodes(k - 1)._1))
+    // DistributedMPTD takes one α per run, and a run per case would take
+    // minutes. Cohesion is linear in the frequencies, so case i runs as
+    // vertex block i of one disjoint union at α = 1 with frequencies
+    // scaled by 1/β: an edge ties at 1 there exactly when it ties at β.
+    // Each case starts from C*_p(β_{k−1}), which contains C*_p(β_k).
+    val n = plantedCompact.n
+    val edges = Vector.newBuilder[(Int, Int)]
+    val freqs = Vector.newBuilder[(Int, Double)]
+    val expected = for (((node, beta, base), i) <- cases.zipWithIndex) yield {
+      val f = MinerOps.freqFn(plantedCompact, node.pattern)
+      val fromTree = node.trussAt(beta).toSet
+      val direct = LocalTruss.mptd(LocalTruss.themeInduce(plantedCompact.edgeList, f), f, beta)
+      assert(direct.edges.toSet == fromTree, s"${Pattern.key(node.pattern)} beta=$beta")
+      edges ++= base.map { case (u, v) => (i * n + u, i * n + v) }
+      freqs ++= base.flatMap(e => Seq(e._1, e._2)).distinct.map(v => (i * n + v, f(v) / beta))
+      fromTree
+    }
+    val got = DistributedMPTD.run(edges.result().toDF("src", "dst"), freqs.result().toDF("vertexId", "freq"), 1.0)
+      .select("src", "dst").collect()
+      .map(r => (r.getInt(0), r.getInt(1)))
+      .groupBy(_._1 / n)
+      .map { case (i, es) => i -> es.map { case (u, v) => (u - i * n, v - i * n) }.toSet }
+    for (((node, beta, _), i) <- cases.zipWithIndex)
+      assert(got.getOrElse(i, Set.empty) == expected(i), s"${Pattern.key(node.pattern)} beta=$beta")
   }
 
   test("tree of an edgeless network is empty") {
