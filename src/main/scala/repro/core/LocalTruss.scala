@@ -2,25 +2,45 @@ package repro.core
 
 import scala.collection.mutable
 
-/** A maximal pattern truss: its (canonical, src<dst) edges and the final
-  * edge cohesions after peeling. The vertex set is induced from the edges.
+/** A maximal pattern truss: its canonical edge keys (`LocalTruss.ekey`) in
+  * ascending order and, parallel to them, the final edge cohesions after
+  * peeling. Only these two primitive arrays are held; edges, the cohesion
+  * map and the vertex set are views derived on each call.
   */
-final case class Truss(edges: Vector[(Int, Int)], cohesion: Map[Long, Double]) {
-  def isEmpty: Boolean = edges.isEmpty
-  def nEdges: Int = edges.length
-  lazy val vertices: Set[Int] = edges.iterator.flatMap(e => Iterator(e._1, e._2)).toSet
-  def nVertices: Int = vertices.size
-  def minCohesion: Double = if (edges.isEmpty) 0.0 else cohesion.valuesIterator.min
+final class Truss(val keys: Array[Long], val cohesions: Array[Double]) extends Serializable {
+  require(keys.length == cohesions.length, "one cohesion per edge key")
+
+  def isEmpty: Boolean = keys.isEmpty
+  def nEdges: Int = keys.length
+
+  /** Canonical (src<dst) edges in ascending order. */
+  def edges: Vector[(Int, Int)] = keys.iterator.map(LocalTruss.dekey).toVector
+
+  def cohesion: Map[Long, Double] = keys.iterator.zip(cohesions.iterator).toMap
+  def vertices: Set[Int] = edges.iterator.flatMap(e => Iterator(e._1, e._2)).toSet
+
+  def nVertices: Int = {
+    val ends = new Array[Int](2 * keys.length)
+    for (i <- keys.indices) { ends(2 * i) = (keys(i) >> 32).toInt; ends(2 * i + 1) = keys(i).toInt }
+    java.util.Arrays.sort(ends)
+    ends.indices.count(i => i == 0 || ends(i) != ends(i - 1))
+  }
+
+  def minCohesion: Double = if (isEmpty) 0.0 else cohesions.min
 
   /** Edge-set intersection with another truss (Proposition 5.3 pruning). */
-  def intersectEdges(other: Truss): Vector[(Int, Int)] = {
-    val keys = other.cohesion.keySet
-    edges.filter(e => keys.contains(LocalTruss.ekey(e._1, e._2)))
+  def intersectEdges(other: Truss): Vector[(Int, Int)] =
+    LocalTruss.intersectKeys(keys, other.keys).iterator.map(LocalTruss.dekey).toVector
+
+  override def equals(o: Any): Boolean = o match {
+    case t: Truss => java.util.Arrays.equals(keys, t.keys) && java.util.Arrays.equals(cohesions, t.cohesions)
+    case _        => false
   }
+  override def hashCode: Int = java.util.Arrays.hashCode(keys) * 31 + java.util.Arrays.hashCode(cohesions)
 }
 
 object Truss {
-  val empty: Truss = Truss(Vector.empty, Map.empty)
+  val empty: Truss = new Truss(Array.emptyLongArray, Array.emptyDoubleArray)
 }
 
 /** The decomposed maximal pattern truss L_p of Section 6.1: a sequence of
@@ -69,6 +89,30 @@ object LocalTruss {
     else       (v.toLong << 32) | (u.toLong & 0xffffffffL)
 
   def dekey(k: Long): (Int, Int) = ((k >> 32).toInt, k.toInt)
+
+  /** Canonical keys of `edges`, sorted ascending. */
+  def edgeKeys(edges: IterableOnce[(Int, Int)]): Array[Long] = {
+    val keys = edges.iterator.map(e => ekey(e._1, e._2)).toArray
+    java.util.Arrays.sort(keys)
+    keys
+  }
+
+  /** Linear merge of two ascending key arrays: the keys in both. */
+  def intersectKeys(a: Array[Long], b: Array[Long]): Array[Long] = intersectKeys(a, 0, a.length, b, 0, b.length)
+
+  /** Linear merge of the ascending slices `a(aFrom until aUntil)` and
+    * `b(bFrom until bUntil)`: the keys in both.
+    */
+  def intersectKeys(a: Array[Long], aFrom: Int, aUntil: Int, b: Array[Long], bFrom: Int, bUntil: Int): Array[Long] = {
+    val out = new Array[Long](math.min(aUntil - aFrom, bUntil - bFrom))
+    var i = aFrom; var j = bFrom; var k = 0
+    while (i < aUntil && j < bUntil) {
+      if (a(i) == b(j)) { out(k) = a(i); k += 1; i += 1; j += 1 }
+      else if (a(i) < b(j)) i += 1
+      else j += 1
+    }
+    java.util.Arrays.copyOf(out, k)
+  }
 
   /** Induce the theme network G_p restricted to `edges`: keep only edges
     * whose both endpoints have positive pattern frequency.
@@ -132,8 +176,9 @@ object LocalTruss {
     }
 
     def remaining: Truss = {
-      val m = eco.toMap
-      Truss(m.keysIterator.map(dekey).toVector.sorted, m)
+      val keys = eco.keysIterator.toArray
+      java.util.Arrays.sort(keys)
+      new Truss(keys, keys.map(eco))
     }
   }
 

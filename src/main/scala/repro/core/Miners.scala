@@ -2,6 +2,10 @@ package repro.core
 
 import org.apache.spark.sql.SparkSession
 
+import scala.collection.immutable.{AbstractMap, HashMap}
+import scala.collection.mutable
+import scala.reflect.ClassTag
+
 /** Counters reported by the paper's efficiency study (Section 7):
   * `mptdCalls` is the number of MPTD invocations (Figure 3 discussion),
   * `candidates` the number of candidate patterns examined, and
@@ -18,7 +22,8 @@ final case class MinerStats(
 /** Result of a miner run: every non-empty maximal pattern truss keyed by its
   * pattern, plus the run counters. NP/NV/NE follow the paper's metrics: NP is
   * the number of maximal pattern trusses; NV (NE) counts a vertex (edge) once
-  * per truss containing it.
+  * per truss containing it. TCFA and TCFI return a `TrussMap`, which builds
+  * a fresh `Truss` on each access.
   */
 final case class MiningResult(trusses: Map[Vector[Int], Truss], stats: MinerStats) {
   def np: Long = trusses.size.toLong
@@ -32,6 +37,26 @@ final case class MiningResult(trusses: Map[Vector[Int], Truss], stats: MinerStat
     trusses.toSeq.sortBy(kv => Pattern.key(kv._1)).flatMap { case (p, t) =>
       LocalTruss.connectedComponents(t.edges).map(c => (p, c))
     }
+}
+
+/** A miner's result map held as the engine's flat rows, one `Rows` per
+  * level: entries are derived on access, and a lookup is a binary search in
+  * the level of the pattern's length. Updates copy it into a plain map.
+  */
+private final class TrussMap(levels: Vector[Levelwise.Rows]) extends AbstractMap[Vector[Int], Truss] {
+  def get(p: Vector[Int]): Option[Truss] =
+    levels.find(_.patterns.width == p.length).flatMap { l =>
+      val r = l.patterns.indexOf(p.toArray)
+      if (r < 0) None else Some(l.truss(r))
+    }
+
+  def iterator: Iterator[(Vector[Int], Truss)] =
+    levels.iterator.flatMap(l => Iterator.range(0, l.size).map(r => (l.patterns(r), l.truss(r))))
+
+  def removed(p: Vector[Int]): Map[Vector[Int], Truss] = HashMap.from(this).removed(p)
+  def updated[V1 >: Truss](p: Vector[Int], t: V1): Map[Vector[Int], V1] = HashMap.from(this).updated(p, t)
+  override def size: Int = levels.map(_.size).sum
+  override def knownSize: Int = size
 }
 
 private[repro] object MinerOps {
@@ -48,6 +73,9 @@ private[repro] object MinerOps {
     LocalTruss.mptd(LocalTruss.themeInduce(within, f), f, alpha)
   }
 
+  /** α ranges over [0, ∞); checked on the driver, before any Spark job. */
+  def requireAlpha(alpha: Double): Unit = require(alpha >= 0.0, s"alpha must be >= 0, got $alpha")
+
   def slices(spark: SparkSession, nTasks: Int): Int =
     math.max(1, math.min(nTasks, spark.sparkContext.defaultParallelism * 2))
 }
@@ -61,6 +89,7 @@ private[repro] object MinerOps {
 object TCS {
   def run(spark: SparkSession, net: CompactNetwork, alpha: Double, eps: Double,
           maxLen: Int = 6): MiningResult = {
+    MinerOps.requireAlpha(alpha)
     val t0 = System.nanoTime()
     val sc = spark.sparkContext
     val bc = sc.broadcast(net)
@@ -88,7 +117,8 @@ object TCS {
 /** Theme Community Finder Apriori (Algorithm 3). Level-wise: qualified
   * length-(k−1) patterns generate length-k candidates via Algorithm 2; each
   * candidate's theme network is induced from the *full* database network and
-  * peeled by MPTD. Exact.
+  * peeled by MPTD. Exact. Runs on the `Levelwise` engine: one Spark job per
+  * level, one task per range of prefix classes.
   */
 object TCFA {
   def run(spark: SparkSession, net: CompactNetwork, alpha: Double,
@@ -96,10 +126,12 @@ object TCFA {
     Levelwise.run(spark, net, alpha, maxLen, useIntersection = false)
 }
 
-/** Theme Community Finder Intersection (Section 5.3). Same level-wise loop
-  * as TCFA, but a candidate p^k = p^{k−1} ∪ q^{k−1} has its theme network
-  * induced from C*_{p^{k−1}}(α) ∩ C*_{q^{k−1}}(α) (Proposition 5.3); an empty
-  * intersection prunes the candidate without running MPTD. Exact.
+/** Theme Community Finder Intersection (Section 5.3). The same `Levelwise`
+  * engine as TCFA, but a candidate p^k = p^{k−1} ∪ q^{k−1} has its theme
+  * network induced from C*_{p^{k−1}}(α) ∩ C*_{q^{k−1}}(α) (Proposition 5.3);
+  * an empty intersection prunes the candidate without running MPTD. The
+  * parents' trusses travel to the tasks as sorted edge-key arrays and are
+  * intersected there by a linear merge. Exact.
   */
 object TCFI {
   def run(spark: SparkSession, net: CompactNetwork, alpha: Double,
@@ -107,66 +139,213 @@ object TCFI {
     Levelwise.run(spark, net, alpha, maxLen, useIntersection = true)
 }
 
-private object Levelwise {
+/** The level-synchronous engine behind TCFA and TCFI (Algorithm 3): one
+  * Spark job per level, with the level loop on the driver.
+  *
+  * Level 1 runs MPTD on every single-item theme network. Level k ≥ 2 reads
+  * the qualified (k−1)-patterns as a sorted `PatternSet`, broadcast with,
+  * for TCFI, the sorted edge keys of each pattern's C*_p(α). The unit of
+  * work is one parent with its later prefix-class mates (Zaki's Eclat class,
+  * the unit `TCTree.build` also uses): the Algorithm 2 join, the binary
+  * search for the other sub-patterns, the TCFI intersection (a linear merge)
+  * and MPTD all run in the task that owns the parent. Tasks take contiguous
+  * parent ranges cut at equal pair counts and return primitive `Rows`.
+  * Since the set is sorted and the ranges are contiguous, the rows come back
+  * sorted: the driver only concatenates them into the next level, and the
+  * result map keeps the levels' arrays as they are (`TrussMap`).
+  *
+  * The candidates and the parent pair that generates each are those of
+  * `Pattern.aprioriJoin`, whatever the number of tasks: a level's result
+  * does not depend on how its parents are cut into ranges.
+  */
+private[repro] object Levelwise {
+
+  /** Ranges per core in one level's job: ranges hold equal pair counts, but
+    * pairs differ in cost, so a few ranges per core even out the load.
+    */
+  private val RangesPerCore = 4
+
   def run(spark: SparkSession, net: CompactNetwork, alpha: Double, maxLen: Int,
           useIntersection: Boolean): MiningResult = {
+    val exec = new SparkExec(spark, net)
+    try mine(exec, net, alpha, maxLen, useIntersection)
+    finally exec.close()
+  }
+
+  /** The same levels with a plain loop in place of each Spark job: one
+    * range per level, on the calling thread.
+    */
+  def serial(net: CompactNetwork, alpha: Double, maxLen: Int, useIntersection: Boolean): MiningResult =
+    mine(new SerialExec(net), net, alpha, maxLen, useIntersection)
+
+  /** Qualified patterns of one level, or one task's share of them, as
+    * primitive rows in pattern order: row r is pattern r of `patterns`, with
+    * the sorted edge keys of its truss and their cohesions at
+    * `from(r) until ends(r)`. The counters cover every candidate examined.
+    */
+  final class Rows(val patterns: PatternSet, val ends: Array[Int], val keys: Array[Long],
+                   val cohesions: Array[Double], val candidates: Long, val mptdCalls: Long, val pruned: Long)
+      extends Serializable {
+    def size: Int = patterns.size
+    def from(r: Int): Int = if (r == 0) 0 else ends(r - 1)
+
+    def truss(r: Int): Truss =
+      new Truss(java.util.Arrays.copyOfRange(keys, from(r), ends(r)),
+                java.util.Arrays.copyOfRange(cohesions, from(r), ends(r)))
+
+    /** These rows as the next level's tasks read them, edge keys only if asked. */
+    def parents(withKeys: Boolean): Parents =
+      if (withKeys) new Parents(patterns, ends, keys)
+      else new Parents(patterns, Array.emptyIntArray, Array.emptyLongArray)
+  }
+
+  object Rows {
+    /** The blocks of one level's `width`-item patterns, concatenated in order. */
+    def concat(width: Int, blocks: Seq[Rows]): Rows = {
+      val ends = new mutable.ArrayBuilder.ofInt
+      var base = 0
+      for (b <- blocks) { b.ends.foreach(e => ends += base + e); base += b.keys.length }
+      new Rows(new PatternSet(width, Array.concat(blocks.map(_.patterns.items): _*)), ends.result(),
+               Array.concat(blocks.map(_.keys): _*), Array.concat(blocks.map(_.cohesions): _*),
+               blocks.map(_.candidates).sum, blocks.map(_.mptdCalls).sum, blocks.map(_.pruned).sum)
+    }
+  }
+
+  /** A level as the next level's tasks read it: its patterns and, for TCFI,
+    * the sorted edge keys of each pattern's truss at `from(r) until ends(r)`.
+    */
+  final class Parents(val patterns: PatternSet, val ends: Array[Int], val keys: Array[Long]) extends Serializable {
+    def from(r: Int): Int = if (r == 0) 0 else ends(r - 1)
+  }
+
+  /** Runs `task(net, shared, from, until)` over contiguous ranges of units
+    * and returns the results in range order.
+    */
+  trait Exec {
+    /** How many ranges a level is cut into. */
+    def slots: Int
+    def apply[S: ClassTag](shared: S, ranges: Seq[(Int, Int)])(task: (CompactNetwork, S, Int, Int) => Rows): Seq[Rows]
+  }
+
+  /** One Spark job per call, one task per range; the network and `shared`
+    * reach the tasks as broadcasts.
+    */
+  private final class SparkExec(spark: SparkSession, net: CompactNetwork) extends Exec {
+    private val sc = spark.sparkContext
+    private val bcNet = sc.broadcast(net)
+    val slots: Int = sc.defaultParallelism * RangesPerCore
+
+    def apply[S: ClassTag](shared: S, ranges: Seq[(Int, Int)])(task: (CompactNetwork, S, Int, Int) => Rows): Seq[Rows] = {
+      val n = bcNet
+      val b = sc.broadcast(shared)
+      try sc.parallelize(ranges, ranges.length).map { case (from, until) => task(n.value, b.value, from, until) }.collect().toSeq
+      finally b.destroy()
+    }
+
+    def close(): Unit = bcNet.destroy()
+  }
+
+  private final class SerialExec(net: CompactNetwork) extends Exec {
+    val slots: Int = 1
+    def apply[S: ClassTag](shared: S, ranges: Seq[(Int, Int)])(task: (CompactNetwork, S, Int, Int) => Rows): Seq[Rows] =
+      ranges.map { case (from, until) => task(net, shared, from, until) }
+  }
+
+  /** Cuts units `0 until weights.length` into at most `n` contiguous ranges
+    * of about equal total weight, leaving out units of weight 0 at the end.
+    */
+  def cut(weights: Array[Long], n: Int): Seq[(Int, Int)] = {
+    val total = weights.sum
+    val out = mutable.ArrayBuffer.empty[(Int, Int)]
+    var from = 0; var acc = 0L
+    for (i <- weights.indices) {
+      acc += weights(i)
+      if (weights(i) > 0 && acc * n >= total * (out.length + 1)) { out += ((from, i + 1)); from = i + 1 }
+    }
+    out.toSeq
+  }
+
+  private def mine(exec: Exec, net: CompactNetwork, alpha: Double, maxLen: Int,
+                   useIntersection: Boolean): MiningResult = {
+    MinerOps.requireAlpha(alpha)
     val t0 = System.nanoTime()
-    val sc = spark.sparkContext
-    val bc = sc.broadcast(net)
-    var mptdCalls = 0L
-    var pruned = 0L
-    var nCandidates = 0L
+    val levels = mutable.ArrayBuffer.empty[Rows]
 
-    // Level 1: MPTD on every single-item theme network (Algorithm 3 line 1).
+    // One level's job over units of the given weights (none if all are 0);
+    // the rows come back in unit order and are kept as one level.
+    def runLevel[S: ClassTag](k: Int, shared: S, weights: Array[Long])
+                             (task: (CompactNetwork, S, Int, Int) => Rows): Rows = {
+      val ranges = cut(weights, exec.slots)
+      val level = Rows.concat(k, if (ranges.isEmpty) Nil else exec(shared, ranges)(task))
+      levels += level
+      level
+    }
+
+    // Level 1 (Algorithm 3 line 1): MPTD on every single-item theme network.
     val items = net.items
-    nCandidates += items.length
-    mptdCalls += items.length
-    var level: Map[Vector[Int], Truss] = sc
-      .parallelize(items.toIndexedSeq, MinerOps.slices(spark, items.length))
-      .map { s =>
-        val n = bc.value
-        (Vector(s), MinerOps.detect(n, Vector(s), n.edgeList, alpha))
-      }
-      .filter(!_._2.isEmpty)
-      .collect()
-      .toMap
-    var all = level
+    var level = runLevel(1, items, Array.fill(items.length)(1L)) {
+      (n, its, from, until) => seed(n, its, from, until, alpha)
+    }
     var k = 2
-
-    while (level.nonEmpty && k <= maxLen) {
-      val cands = Pattern.aprioriJoin(level.keys.toSeq)
-      nCandidates += cands.length
-      // TCFI (Section 5.3): intersect the generating parents' trusses on the
-      // driver (they are small local subgraphs); an empty intersection prunes
-      // the candidate with no MPTD call. TCFA peels within the full network.
-      val tasks: Seq[(Vector[Int], Option[Vector[(Int, Int)]])] = cands.flatMap {
-        case (p, (pa, pb)) =>
-          if (!useIntersection) Some((p, None))
-          else {
-            val within = level(pa).intersectEdges(level(pb))
-            if (within.isEmpty) { pruned += 1; None }
-            else Some((p, Some(within)))
-          }
+    while (level.size > 0 && k <= maxLen) {
+      level = runLevel(k, level.parents(useIntersection), level.patterns.laterInClass.map(_.toLong)) {
+        (n, ps, from, until) => grow(n, ps, from, until, alpha, useIntersection)
       }
-      mptdCalls += tasks.length
-      val next =
-        if (tasks.isEmpty) Map.empty[Vector[Int], Truss]
-        else sc
-          .parallelize(tasks, MinerOps.slices(spark, tasks.length))
-          .map { case (p, withinOpt) =>
-            val n = bc.value
-            val within: Iterable[(Int, Int)] = withinOpt.getOrElse(n.edgeList.toIndexedSeq)
-            (p, MinerOps.detect(n, p, within, alpha))
-          }
-          .filter(!_._2.isEmpty)
-          .collect()
-          .toMap
-      all = all ++ next
-      level = next
       k += 1
     }
-    bc.destroy()
     val ms = (System.nanoTime() - t0) / 1000000
-    MiningResult(all, MinerStats(mptdCalls, nCandidates, pruned, ms))
+    MiningResult(new TrussMap(levels.toVector),
+                 MinerStats(levels.map(_.mptdCalls).sum, levels.map(_.candidates).sum, levels.map(_.pruned).sum, ms))
+  }
+
+  /** Level-1 task: MPTD on the theme network of each item `items(from until until)`. */
+  private def seed(net: CompactNetwork, items: Array[Int], from: Int, until: Int, alpha: Double): Rows = {
+    val out = new RowsBuilder(1)
+    for (i <- from until until) out.detect(net, Array(items(i)), net.edgeList, alpha)
+    out.result()
+  }
+
+  /** Level-k task, k ≥ 2: Algorithm 2 for each parent in `from until until`
+    * against its later class mates, then MPTD on each candidate's theme
+    * network — induced from the full network (TCFA) or from the linear-merge
+    * intersection of the two parents' trusses, skipped when empty (TCFI).
+    */
+  private def grow(net: CompactNetwork, ps: Parents, from: Int, until: Int, alpha: Double,
+                   useIntersection: Boolean): Rows = {
+    val out = new RowsBuilder(ps.patterns.width + 1)
+    for (r <- from until until) ps.patterns.join(r) { (s, c) =>
+      if (!useIntersection) out.detect(net, c, net.edgeList, alpha)
+      else {
+        val within = LocalTruss.intersectKeys(ps.keys, ps.from(r), ps.ends(r), ps.keys, ps.from(s), ps.ends(s))
+        if (within.isEmpty) out.prune()
+        else out.detect(net, c, within.view.map(LocalTruss.dekey), alpha)
+      }
+    }
+    out.result()
+  }
+
+  private final class RowsBuilder(width: Int) {
+    private val patterns = new mutable.ArrayBuilder.ofInt
+    private val ends = new mutable.ArrayBuilder.ofInt
+    private val keys = new mutable.ArrayBuilder.ofLong
+    private val cohesions = new mutable.ArrayBuilder.ofDouble
+    private var nKeys = 0
+    private var candidates = 0L
+    private var mptdCalls = 0L
+    private var pruned = 0L
+
+    def detect(net: CompactNetwork, c: Array[Int], within: Iterable[(Int, Int)], alpha: Double): Unit = {
+      candidates += 1; mptdCalls += 1
+      val t = MinerOps.detect(net, c.toVector, within, alpha)
+      if (!t.isEmpty) {
+        patterns ++= c; keys ++= t.keys; cohesions ++= t.cohesions
+        nKeys += t.nEdges; ends += nKeys
+      }
+    }
+
+    def prune(): Unit = { candidates += 1; pruned += 1 }
+
+    def result(): Rows =
+      new Rows(new PatternSet(width, patterns.result()), ends.result(), keys.result(), cohesions.result(), candidates, mptdCalls, pruned)
   }
 }

@@ -33,26 +33,6 @@ final case class DatabaseNetwork(
       .head()
     NetworkStats(nV, nE, row.getLong(0), row.getLong(1), row.getLong(2))
   }
-
-  /** Materialise the network on the driver for per-pattern local work. */
-  def toCompact: CompactNetwork = {
-    val vs = vertices.select("id").collect().map(_.getInt(0)).sorted
-    require(vs.nonEmpty, "empty network")
-    val n = vs.length
-    require(vs.head == 0 && vs.last == n - 1, "vertex ids must be 0..n-1")
-    val adj = Array.fill(n)(scala.collection.mutable.ArrayBuffer.empty[Int])
-    edges.select("src", "dst").collect().foreach { r =>
-      val u = r.getInt(0); val v = r.getInt(1)
-      require(u < v, s"edge not canonical: ($u,$v)")
-      adj(u) += v; adj(v) += u
-    }
-    val txMap = Array.fill(n)(scala.collection.mutable.Map.empty[Long, scala.collection.mutable.ArrayBuffer[Int]])
-    transactions.select("vertexId", "txId", "item").collect().foreach { r =>
-      txMap(r.getInt(0)).getOrElseUpdate(r.getLong(1), scala.collection.mutable.ArrayBuffer.empty[Int]) += r.getInt(2)
-    }
-    val txs = txMap.map(m => m.toSeq.sortBy(_._1).map(_._2.toArray.distinct.sorted).toArray)
-    CompactNetwork(adj.map(_.toArray.distinct.sorted), txs)
-  }
 }
 
 /** Table 2 row: the five statistics the paper reports per dataset. */
@@ -116,14 +96,17 @@ final case class CompactNetwork(
 
   val n: Int = adj.length
 
+  // The derived fields below are @transient: a broadcast then ships only
+  // `adj` and `txs`, and each copy derives them again on first use.
+
   /** Canonical (src<dst) edge list. */
-  lazy val edgeList: Array[(Int, Int)] =
+  @transient lazy val edgeList: Array[(Int, Int)] =
     (for { u <- adj.indices.iterator; v <- adj(u).iterator if u < v } yield (u, v)).toArray
 
   def nEdges: Int = edgeList.length
 
   /** item → sorted array of transaction indices, per vertex. */
-  lazy val txIndex: Array[Map[Int, Array[Int]]] = txs.map { db =>
+  @transient lazy val txIndex: Array[Map[Int, Array[Int]]] = txs.map { db =>
     val m = scala.collection.mutable.Map.empty[Int, scala.collection.mutable.ArrayBuffer[Int]]
     for ((t, ti) <- db.zipWithIndex; item <- t)
       m.getOrElseUpdate(item, scala.collection.mutable.ArrayBuffer.empty[Int]) += ti
@@ -131,7 +114,7 @@ final case class CompactNetwork(
   }
 
   /** All distinct items in S (those appearing in at least one transaction). */
-  lazy val items: Array[Int] =
+  @transient lazy val items: Array[Int] =
     txs.iterator.flatMap(_.iterator.flatMap(_.iterator)).toArray.distinct.sorted
 
   private def intersectSize(lists: Seq[Array[Int]]): Int = {

@@ -66,6 +66,7 @@ final class TCTree(val root: TCNode) {
     * or the child's truss at α_q is empty (Proposition 5.2 on descendants).
     */
   def query(q: Set[Int], alphaQ: Double): TCQueryResult = {
+    require(alphaQ >= 0.0, s"alphaQ must be >= 0, got $alphaQ")
     val out = Vector.newBuilder[(Vector[Int], Vector[(Int, Int)])]
     val queue = mutable.Queue(root)
     while (queue.nonEmpty) {
@@ -192,23 +193,7 @@ object TCTree {
   }
 
   /** Sorted canonical keys of C*_p(0), i.e. of every edge in L_p. */
-  private def edgeKeys(d: Decomposition): Array[Long] = {
-    val keys = d.nodes.iterator.flatMap(_._2).map(e => LocalTruss.ekey(e._1, e._2)).toArray
-    java.util.Arrays.sort(keys)
-    keys
-  }
-
-  /** Linear merge of two sorted key arrays. */
-  private def intersect(a: Array[Long], b: Array[Long]): Array[Long] = {
-    val out = new Array[Long](math.min(a.length, b.length))
-    var i = 0; var j = 0; var k = 0
-    while (i < a.length && j < b.length) {
-      if (a(i) == b(j)) { out(k) = a(i); k += 1; i += 1; j += 1 }
-      else if (a(i) < b(j)) i += 1
-      else j += 1
-    }
-    java.util.Arrays.copyOf(out, k)
-  }
+  private def edgeKeys(d: Decomposition): Array[Long] = LocalTruss.edgeKeys(d.nodes.iterator.flatMap(_._2))
 
   /** Appends, in pre-order, the subtree below the node with `pattern` and
     * α = 0 truss `keys`, whose later siblings are `later` (ascending item).
@@ -217,7 +202,7 @@ object TCTree {
                           maxDepth: Int, out: mutable.Growable[Row]): Unit = {
     val children = mutable.ArrayBuffer.empty[(Vector[Int], Decomposition, Sibling)]
     for (b <- later) {
-      val within = intersect(keys, b.keys)
+      val within = LocalTruss.intersectKeys(keys, b.keys)
       if (within.nonEmpty) {
         val p = pattern :+ b.item
         val d = computeDecomp(net, p, within.map(LocalTruss.dekey))

@@ -1,5 +1,7 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test}
+import repro.netgen.NetGen
 import repro.{SparkSpec, TestNets}
 
 import scala.util.Random
@@ -17,10 +19,90 @@ class MinersSuite extends SparkSpec {
     for ((p, ta) <- a.trusses) {
       val tb = b.trusses(p)
       assert(ta.edges.toSet == tb.edges.toSet, s"edges differ for ${Pattern.key(p)}")
-      for (e <- ta.edges) {
-        val k = LocalTruss.ekey(e._1, e._2)
-        assert(math.abs(ta.cohesion(k) - tb.cohesion(k)) < 1e-9)
-      }
+      val cb = tb.cohesion
+      for ((k, c) <- ta.cohesion) assert(math.abs(c - cb(k)) < 1e-9)
+    }
+  }
+
+  /** Pattern for pattern: equal edge keys, cohesions within 1e-9, and equal
+    * counters.
+    */
+  private def assertSameRun(a: MiningResult, b: MiningResult, what: String): Unit = {
+    assert(a.trusses.keySet == b.trusses.keySet, what)
+    for ((p, ta) <- a.trusses) {
+      val tb = b.trusses(p)
+      assert(ta.keys.sameElements(tb.keys), s"$what: edges differ for ${Pattern.key(p)}")
+      assert(ta.cohesions.indices.forall(i => math.abs(ta.cohesions(i) - tb.cohesions(i)) < 1e-9),
+        s"$what: cohesions differ for ${Pattern.key(p)}")
+    }
+    assert(a.stats.copy(timeMs = 0) == b.stats.copy(timeMs = 0), what)
+  }
+
+  /** Spark `run` against `Levelwise.serial`: the same per-prefix-class
+    * worker in one plain loop, i.e. one range per level where Spark cuts
+    * each level into several. So this is also local[1] against local[*].
+    */
+  private def assertSparkEqualsLoop(useIntersection: Boolean): Unit =
+    for ((name, g) <- Seq("planted" -> TestNets.smallPlanted(), "bkLike(300)" -> NetGen.bkLike(300));
+         alpha <- Seq(0.0, 0.1)) {
+      val c = g.compact
+      val distributed =
+        if (useIntersection) TCFI.run(spark, c, alpha) else TCFA.run(spark, c, alpha)
+      assertSameRun(distributed, Levelwise.serial(c, alpha, maxLen = 6, useIntersection), s"$name alpha=$alpha")
+    }
+
+  // ------------------------------------------------------- level-wise engine
+
+  test("TCFI on Spark equals one plain loop over the prefix-class worker") {
+    assertSparkEqualsLoop(useIntersection = true)
+  }
+
+  test("TCFA on Spark equals one plain loop over the prefix-class worker") {
+    assertSparkEqualsLoop(useIntersection = false)
+  }
+
+  test("cut: contiguous ranges of positive weight cover every unit up to the last of positive weight") {
+    val rnd = new Random(7)
+    for (_ <- 0 until 200) {
+      val w = Array.fill(rnd.nextInt(30))(if (rnd.nextInt(3) == 0) 0L else rnd.nextInt(400).toLong)
+      val n = 1 + rnd.nextInt(20)
+      val rs = Levelwise.cut(w, n)
+      val last = w.lastIndexWhere(_ > 0)
+      assert(rs.length <= n)
+      assert(rs.map(_._1) == (0 +: rs.map(_._2).dropRight(1)).take(rs.length))
+      assert(rs.lastOption.map(_._2).getOrElse(0) == last + 1)
+      assert(rs.forall { case (a, b) => w.slice(a, b).sum > 0 })
+    }
+  }
+
+  test("Truss: array-backed views equal the edge-to-cohesion map they encode") {
+    val edge = for (u <- Gen.choose(0, 15); d <- Gen.choose(1, 8)) yield LocalTruss.ekey(u, u + d)
+    val truss = Gen.mapOf(Gen.zip(edge, Gen.choose(0.0, 4.0)))
+    def fromMap(m: Map[Long, Double]): Truss = {
+      val keys = LocalTruss.edgeKeys(m.keys.map(LocalTruss.dekey))
+      new Truss(keys, keys.map(m))
+    }
+    val prop = Prop.forAll(truss, truss) { (ma, mb) =>
+      val (a, b) = (fromMap(ma), fromMap(mb))
+      val edges = ma.keys.toVector.sorted.map(LocalTruss.dekey)
+      val ends = edges.flatMap(e => Seq(e._1, e._2)).toSet
+      a.edges == edges && edges.forall(e => e._1 < e._2) &&
+        a.cohesion == ma && a.vertices == ends && a.nVertices == ends.size &&
+        a.nEdges == ma.size && a.isEmpty == ma.isEmpty &&
+        a.minCohesion == (if (ma.isEmpty) 0.0 else ma.values.min) &&
+        a.intersectEdges(b) == edges.filter(e => mb.contains(LocalTruss.ekey(e._1, e._2)))
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(300), prop)
+    assert(res.passed, res.status)
+  }
+
+  test("miners reject alpha < 0 and NaN on the driver, before any Spark job") {
+    val c = TestNets.triangleNet.compact
+    for (a <- Seq(-0.1, -1e-12, Double.NaN)) {
+      intercept[IllegalArgumentException](TCFI.run(spark, c, a))
+      intercept[IllegalArgumentException](TCFA.run(spark, c, a))
+      intercept[IllegalArgumentException](TCS.run(spark, c, a, eps = 0.1))
+      intercept[IllegalArgumentException](Levelwise.serial(c, a, maxLen = 6, useIntersection = true))
     }
   }
 
@@ -151,6 +233,17 @@ class MinersSuite extends SparkSpec {
     assert(r.np == 3)
     assert(r.nv == 9) // 3 trusses x 3 vertices each (counted per truss)
     assert(r.ne == 9)
+  }
+
+  test("the result map answers lookups, removals and updates like a plain map") {
+    val r = TCFI.run(spark, TestNets.smallPlanted().compact, 0.1, maxLen = 4)
+    val plain = scala.collection.immutable.HashMap.from(r.trusses)
+    assert(plain.size == r.trusses.size && r.trusses == plain)
+    for ((p, t) <- plain) assert(r.trusses.get(p).contains(t))
+    assert(!r.trusses.contains(Vector(-1)) && !r.trusses.contains(Vector(1, 1, 1, 1, 1, 1, 1)))
+    val (p, t) = plain.head
+    assert(r.trusses.removed(p) == plain.removed(p))
+    assert(r.trusses.updated(Vector(-1), t) == plain.updated(Vector(-1), t))
   }
 
   test("TCFI never runs more MPTD calls than TCFA") {

@@ -120,6 +120,14 @@ class TCTreeSuite extends SparkSpec {
     assert(plantedTree.queryByAlpha(allItems, aStar - 1e-6).retrievedNodes > 0)
   }
 
+  test("query rejects alpha_q < 0 and NaN") {
+    val allItems = plantedCompact.items.toSet
+    for (a <- Seq(-0.1, -1e-12, Double.NaN)) {
+      intercept[IllegalArgumentException](plantedTree.query(allItems, a))
+      intercept[IllegalArgumentException](plantedTree.queryByAlpha(allItems, a))
+    }
+  }
+
   test("QBP: returns exactly the stored sub-patterns of the query pattern") {
     val deepest = plantedTree.nodes.maxBy(_.pattern.length)
     val qr = plantedTree.queryByPattern(deepest.pattern)
