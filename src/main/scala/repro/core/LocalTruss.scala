@@ -43,26 +43,56 @@ object Truss {
   val empty: Truss = new Truss(Array.emptyLongArray, Array.emptyDoubleArray)
 }
 
-/** The decomposed maximal pattern truss L_p of Section 6.1: a sequence of
-  * (α_k, R_p(α_k)) nodes with strictly ascending thresholds, where R_p(α_k)
-  * is the set of edges removed when C*_p(α_{k−1}) shrinks to C*_p(α_k).
+/** The decomposed maximal pattern truss L_p of Section 6.1, held in the
+  * shape Algorithm 5 reads it: `thresholds` are the strictly ascending α_k,
+  * `keys` are the canonical edge keys (`LocalTruss.ekey`) of every edge of
+  * C*_p(0) in removal order, and R_p(α_k) is the group
+  * `keys(offsets(k) until offsets(k + 1))`, sorted within itself.
+  *
+  * Because thresholds ascend, Equation 1's E*_p(α) = ∪_{α_k > α} R_p(α_k)
+  * is a suffix of `keys`: one binary search finds where it starts, and the
+  * ∅ case is the O(1) test `maxAlpha > α + Eps`. Only the three primitive
+  * arrays are held; `nodes` and `trussAt` are tuple views derived on each
+  * call.
   */
-final case class Decomposition(nodes: Vector[(Double, Vector[(Int, Int)])]) {
-  def isEmpty: Boolean = nodes.isEmpty
-  def nEdgesTotal: Int = nodes.iterator.map(_._2.length).sum
+final class Decomposition(val thresholds: Array[Double], val keys: Array[Long], val offsets: Array[Int])
+    extends Serializable {
+  require(offsets.length == thresholds.length + 1 && offsets(0) == 0 && offsets.last == keys.length,
+          "offsets delimit one key group per threshold")
+
+  def isEmpty: Boolean = thresholds.isEmpty
+  def nEdgesTotal: Int = keys.length
 
   /** Nontrivial upper bound α*_p: C*_p(α) = ∅ for every α ≥ maxAlpha. */
-  def maxAlpha: Double = if (nodes.isEmpty) 0.0 else nodes.last._1
+  def maxAlpha: Double = if (isEmpty) 0.0 else thresholds(thresholds.length - 1)
 
-  /** Equation 1: E*_p(α) = ∪_{α_k > α} R_p(α_k). Uses the same comparison
-    * tolerance as the peeling so reconstruction matches direct MPTD even
-    * when a cohesion value ties with α up to floating-point noise.
+  /** Equation 1 as edge keys: E*_p(α) is `keys` from this index on, the
+    * offset of the first group with α_k > α + Eps (`keys.length` if there is
+    * none). Uses the same comparison tolerance as the peeling, so
+    * reconstruction matches direct MPTD even when a cohesion value ties with
+    * α up to floating-point noise.
     */
-  def trussAt(alpha: Double): Vector[(Int, Int)] =
-    nodes.iterator.filter(_._1 > alpha + LocalTruss.Eps).flatMap(_._2).toVector
+  def suffixFrom(alpha: Double): Int = {
+    val t = alpha + LocalTruss.Eps
+    var lo = 0; var hi = thresholds.length
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (thresholds(mid) > t) hi = mid else lo = mid + 1
+    }
+    offsets(lo)
+  }
+
+  /** L_p as (α_k, R_p(α_k)) pairs with edges as (src < dst) tuples. */
+  def nodes: Vector[(Double, Vector[(Int, Int)])] =
+    Vector.tabulate(thresholds.length)(k => (thresholds(k), LocalTruss.dekeyed(keys, offsets(k), offsets(k + 1))))
+
+  /** Equation 1: E*_p(α) = ∪_{α_k > α} R_p(α_k), as edge tuples. */
+  def trussAt(alpha: Double): Vector[(Int, Int)] = LocalTruss.dekeyed(keys, suffixFrom(alpha), keys.length)
 }
 
-object Decomposition { val empty: Decomposition = Decomposition(Vector.empty) }
+object Decomposition {
+  val empty: Decomposition = new Decomposition(Array.emptyDoubleArray, Array.emptyLongArray, Array(0))
+}
 
 /** Exact, driver-local implementations of the paper's graph kernels:
   * Algorithm 1 (MPTD), the ascending-threshold truss decomposition of
@@ -89,6 +119,10 @@ object LocalTruss {
     else       (v.toLong << 32) | (u.toLong & 0xffffffffL)
 
   def dekey(k: Long): (Int, Int) = ((k >> 32).toInt, k.toInt)
+
+  /** The edges keyed by `keys(from until until)`, in that order. */
+  def dekeyed(keys: Array[Long], from: Int, until: Int): Vector[(Int, Int)] =
+    Vector.tabulate(until - from)(i => dekey(keys(from + i)))
 
   /** Canonical keys of `edges`, sorted ascending. */
   def edgeKeys(edges: IterableOnce[(Int, Int)]): Array[Long] = {
@@ -145,11 +179,11 @@ object LocalTruss {
     }
 
     /** Remove every edge whose cohesion is ≤ α, cascading (Algorithm 1
-      * lines 9-18). Returns the removed edges.
+      * lines 9-18). Returns the keys of the removed edges.
       */
-    def peel(alpha: Double): Vector[(Int, Int)] = {
+    def peel(alpha: Double): Array[Long] = {
       val threshold = alpha + Eps
-      val removed = Vector.newBuilder[(Int, Int)]
+      val removed = new mutable.ArrayBuilder.ofLong
       val queue = mutable.ArrayDeque.empty[Long]
       for ((k, c) <- eco if c <= threshold) queue.append(k)
       while (queue.nonEmpty) {
@@ -169,7 +203,7 @@ object LocalTruss {
           }
           adj(u) -= v; adj(v) -= u
           eco.remove(k)
-          removed += dekey(k)
+          removed += k
         }
       }
       removed.result()
@@ -201,36 +235,69 @@ object LocalTruss {
   def decompose(edges: Iterable[(Int, Int)], freq: Int => Double): Decomposition = {
     val st = new PeelState(edges, freq)
     st.peel(0.0)
-    val nodes = Vector.newBuilder[(Double, Vector[(Int, Int)])]
+    val keys = new Array[Long](st.eco.size)
+    val thresholds = new mutable.ArrayBuilder.ofDouble
+    val offsets = new mutable.ArrayBuilder.ofInt
+    offsets += 0
+    var n = 0
     while (st.eco.nonEmpty) {
       val beta = st.eco.valuesIterator.min
       val removed = st.peel(beta)
-      nodes += ((beta, removed.sorted))
+      java.util.Arrays.sort(removed)
+      System.arraycopy(removed, 0, keys, n, removed.length)
+      n += removed.length
+      thresholds += beta
+      offsets += n
     }
-    Decomposition(nodes.result())
+    new Decomposition(thresholds.result(), keys, offsets.result())
   }
 
   /** Maximal connected subgraphs of a truss = the theme communities
-    * (Definition 3.5). Union-find over the truss edges; returns the vertex
-    * sets, largest first.
+    * (Definition 3.5), as vertex sets, largest first (ties by least vertex).
     */
   def connectedComponents(edges: Iterable[(Int, Int)]): Vector[Set[Int]] = {
-    val parent = mutable.Map.empty[Int, Int]
+    val keys = edgeKeys(edges)
+    components(keys, 0, keys.length)
+  }
+
+  /** `connectedComponents` of the edges keyed by `keys(from until until)`:
+    * the endpoints are sorted and relabelled 0 until n, then one union-find
+    * over `Array[Int]` joins them.
+    */
+  def components(keys: Array[Long], from: Int, until: Int): Vector[Set[Int]] = {
+    val m = until - from
+    val ends = new Array[Int](2 * m)
+    for (i <- 0 until m) { ends(2 * i) = (keys(from + i) >> 32).toInt; ends(2 * i + 1) = keys(from + i).toInt }
+    java.util.Arrays.sort(ends)
+    var n = 0
+    var i = 0
+    while (i < ends.length) {
+      if (i == 0 || ends(i) != ends(i - 1)) { ends(n) = ends(i); n += 1 }
+      i += 1
+    }
+    val root = Array.tabulate(n)(identity)
     def find(x: Int): Int = {
       var r = x
-      while (parent.getOrElse(r, r) != r) r = parent(r)
+      while (root(r) != r) r = root(r)
       var c = x
-      while (parent.getOrElse(c, c) != c) { val nx = parent(c); parent(c) = r; c = nx }
+      while (root(c) != r) { val nx = root(c); root(c) = r; c = nx }
       r
     }
-    for ((u, v) <- edges) {
-      parent.getOrElseUpdate(u, u); parent.getOrElseUpdate(v, v)
-      val ru = find(u); val rv = find(v)
-      if (ru != rv) parent(ru) = rv
+    for (e <- 0 until m) {
+      val ru = find(java.util.Arrays.binarySearch(ends, 0, n, (keys(from + e) >> 32).toInt))
+      val rv = find(java.util.Arrays.binarySearch(ends, 0, n, keys(from + e).toInt))
+      if (ru < rv) root(rv) = ru else if (rv < ru) root(ru) = rv
     }
-    parent.keys
-      .groupBy(find)
-      .values.map(_.toSet).toVector
-      .sortBy(s => (-s.size, s.min))
+    // Each root is the least label, i.e. the least vertex, of its
+    // component: listing roots in label order lists components by least
+    // vertex, and the stable sort then puts the largest first.
+    val size = new Array[Int](n)
+    for (v <- 0 until n) { root(v) = find(v); size(root(v)) += 1 }
+    val roots = (0 until n).filter(v => root(v) == v)
+    val start = new Array[Int](n)
+    roots.foldLeft(0) { (acc, r) => start(r) = acc; acc + size(r) }
+    val members = new Array[Int](n)
+    for (v <- 0 until n) { members(start(root(v))) = ends(v); start(root(v)) += 1 }
+    roots.iterator.map(r => Set.from(Iterator.range(start(r) - size(r), start(r)).map(members))).toVector.sortBy(-_.size)
   }
 }

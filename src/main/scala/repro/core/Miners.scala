@@ -76,6 +76,9 @@ private[repro] object MinerOps {
   /** α ranges over [0, ∞); checked on the driver, before any Spark job. */
   def requireAlpha(alpha: Double): Unit = require(alpha >= 0.0, s"alpha must be >= 0, got $alpha")
 
+  /** A length cap below 1 would cut level 1 itself; checked on the driver. */
+  def requireMaxLen(maxLen: Int): Unit = require(maxLen >= 1, s"maxLen must be >= 1, got $maxLen")
+
   def slices(spark: SparkSession, nTasks: Int): Int =
     math.max(1, math.min(nTasks, spark.sparkContext.defaultParallelism * 2))
 }
@@ -90,6 +93,8 @@ object TCS {
   def run(spark: SparkSession, net: CompactNetwork, alpha: Double, eps: Double,
           maxLen: Int = 6): MiningResult = {
     MinerOps.requireAlpha(alpha)
+    MinerOps.requireMaxLen(maxLen)
+    require(eps >= 0.0, s"eps must be >= 0, got $eps")
     val t0 = System.nanoTime()
     val sc = spark.sparkContext
     val bc = sc.broadcast(net)
@@ -268,6 +273,7 @@ private[repro] object Levelwise {
   private def mine(exec: Exec, net: CompactNetwork, alpha: Double, maxLen: Int,
                    useIntersection: Boolean): MiningResult = {
     MinerOps.requireAlpha(alpha)
+    MinerOps.requireMaxLen(maxLen)
     val t0 = System.nanoTime()
     val levels = mutable.ArrayBuffer.empty[Rows]
 

@@ -44,23 +44,31 @@ object Experiments {
 
   final case class Table3Row(name: String, indexingTimeMs: Long, memoryMB: Double, nNodes: Int, maxDepth: Int)
 
-  private def usedHeap(): Long = {
-    val rt = Runtime.getRuntime
-    System.gc(); Thread.sleep(100); System.gc()
-    rt.totalMemory() - rt.freeMemory()
+  /** Used heap once it has settled: collect until two readings agree
+    * within 1 MB (at most 10 collections).
+    */
+  private def settledHeap(): Long = {
+    val mem = java.lang.management.ManagementFactory.getMemoryMXBean
+    def read(): Long = { System.gc(); mem.getHeapMemoryUsage.getUsed }
+    var prev = read(); var cur = read(); var i = 2
+    while (i < 10 && math.abs(cur - prev) > (1L << 20)) { prev = cur; cur = read(); i += 1 }
+    cur
   }
 
-  /** Table 3: TC-Tree indexing time, approximate memory, and #nodes. */
+  /** Table 3: TC-Tree indexing time, memory retained by the tree (settled
+    * heap after the build minus settled heap before it), and #nodes.
+    */
   def table3(spark: SparkSession, datasets: Seq[DatasetSpec] = benchDatasets,
              maxDepth: Int = 10): Seq[Table3Row] =
     datasets.map { d =>
       val net = d.gen().compact
-      val before = usedHeap()
+      val before = settledHeap()
       val t0 = System.nanoTime()
       val tree = TCTree.build(spark, net, maxDepth)
       val ms = (System.nanoTime() - t0) / 1000000
-      val after = usedHeap()
-      Table3Row(d.name, ms, math.max(0.0, (after - before) / 1e6), tree.nNodes, tree.maxDepth)
+      val after = settledHeap()
+      java.lang.ref.Reference.reachabilityFence(tree)
+      Table3Row(d.name, ms, (after - before) / 1e6, tree.nNodes, tree.maxDepth)
     }
 
   def formatTable3(rows: Seq[Table3Row]): String = {

@@ -10,21 +10,34 @@ import scala.collection.mutable
   * (Section 6.1). Nodes with L_p = ∅ are never materialised (Section 6.2).
   */
 final class TCNode(val item: Int, val pattern: Vector[Int], val decomp: Decomposition) {
-  val children: mutable.ArrayBuffer[TCNode] = mutable.ArrayBuffer.empty
+  /** Most nodes are leaves, so the buffer starts at its smallest size. */
+  val children: mutable.ArrayBuffer[TCNode] = new mutable.ArrayBuffer(0)
 
   /** C*_p(α) edges via Equation 1. */
   def trussAt(alpha: Double): Vector[(Int, Int)] = decomp.trussAt(alpha)
 }
 
-/** Result of a TC-Tree query: the retrieved maximal pattern trusses, keyed by
-  * pattern. `retrievedNodes` is the paper's RN metric (Figure 5).
+/** Result of a TC-Tree query: the retrieved maximal pattern trusses. Truss i
+  * has pattern `patterns(i)` and edge keys `keys(i)` from `from(i)` on,
+  * a view of the suffix of a node's L_p that Equation 1 selects; `results`
+  * derives the (pattern, edge tuples) pairs on each call. `retrievedNodes`
+  * is the paper's RN metric (Figure 5).
   */
-final case class TCQueryResult(results: Vector[(Vector[Int], Vector[(Int, Int)])]) {
-  def retrievedNodes: Int = results.length
+final class TCQueryResult private[index] (patterns: Array[Vector[Int]], keys: Array[Array[Long]], from: Array[Int]) {
+  def retrievedNodes: Int = patterns.length
+
+  def results: Vector[(Vector[Int], Vector[(Int, Int)])] =
+    Vector.tabulate(patterns.length)(i => (patterns(i), LocalTruss.dekeyed(keys(i), from(i), keys(i).length)))
 
   /** Theme communities: maximal connected subgraphs of each retrieved truss. */
   def communities: Seq[(Vector[Int], Set[Int])] =
-    results.flatMap { case (p, es) => LocalTruss.connectedComponents(es).map(c => (p, c)) }
+    patterns.indices.flatMap(i => LocalTruss.components(keys(i), from(i), keys(i).length).map(c => (patterns(i), c)))
+}
+
+object TCQueryResult {
+  def apply(results: Vector[(Vector[Int], Vector[(Int, Int)])]): TCQueryResult =
+    new TCQueryResult(results.map(_._1).toArray, results.map(r => LocalTruss.edgeKeys(r._2)).toArray,
+                      new Array[Int](results.length))
 }
 
 /** The Theme Community Tree (Section 6.2): a set-enumeration tree over the
@@ -61,25 +74,42 @@ final class TCTree(val root: TCNode) {
     if (ns.isEmpty) 0.0 else ns.iterator.map(_.decomp.maxAlpha).max
   }
 
+  /** Largest item of any node when the tree is wrapped, or -1 for an empty
+    * tree: sizes the q flags.
+    */
+  private val maxItem: Int = nodes.iterator.map(_.item).maxOption.getOrElse(-1)
+
   /** Algorithm 5: answer query (q, α_q). Prunes a subtree as soon as the
     * child's item is outside q (its descendants cannot be sub-patterns of q)
     * or the child's truss at α_q is empty (Proposition 5.2 on descendants).
+    * q is read through a flag per tree item; items no node carries cannot
+    * match and are ignored. A child's truss is non-empty exactly when its
+    * `maxAlpha` exceeds α_q + Eps, and is then emitted as a suffix view of
+    * its key array (Equation 1), in breadth-first order.
     */
   def query(q: Set[Int], alphaQ: Double): TCQueryResult = {
     require(alphaQ >= 0.0, s"alphaQ must be >= 0, got $alphaQ")
-    val out = Vector.newBuilder[(Vector[Int], Vector[(Int, Int)])]
-    val queue = mutable.Queue(root)
-    while (queue.nonEmpty) {
-      val nf = queue.dequeue()
-      for (nc <- nf.children if q.contains(nc.item)) {
-        val truss = nc.trussAt(alphaQ)
-        if (truss.nonEmpty) {
-          out += ((nc.pattern, truss))
-          queue.enqueue(nc)
+    val inQ = new Array[Boolean](maxItem + 1)
+    for (i <- q if i >= 0 && i <= maxItem) inQ(i) = true
+    val threshold = alphaQ + LocalTruss.Eps
+    val queue = mutable.ArrayBuffer(root) // every retrieved node after the root, in visiting order
+    val from = new mutable.ArrayBuilder.ofInt
+    var head = 0
+    while (head < queue.length) {
+      val cs = queue(head).children
+      head += 1
+      var i = 0
+      while (i < cs.length) {
+        val nc = cs(i)
+        if (inQ(nc.item) && nc.decomp.maxAlpha > threshold) {
+          queue += nc
+          from += nc.decomp.suffixFrom(alphaQ)
         }
+        i += 1
       }
     }
-    TCQueryResult(out.result())
+    val retrieved = queue.view.drop(1)
+    new TCQueryResult(retrieved.map(_.pattern).toArray, retrieved.map(_.decomp.keys).toArray, from.result())
   }
 
   /** Query-by-Alpha (Section 7.3): q = S. */
@@ -111,6 +141,7 @@ object TCTree {
     *                 terminates on its own when decompositions are empty).
     */
   def build(spark: SparkSession, net: CompactNetwork, maxDepth: Int = Int.MaxValue): TCTree = {
+    require(maxDepth >= 1, s"maxDepth must be >= 1, got $maxDepth")
     val sc = spark.sparkContext
     val bc = sc.broadcast(net)
     val root = new TCNode(-1, Vector.empty, Decomposition.empty)
@@ -171,21 +202,10 @@ object TCTree {
     */
   private final case class Sibling(item: Int, keys: Array[Long])
 
-  /** A node as a build task returns it: depth, item and L_p with its edges as
-    * canonical keys, since primitive arrays serialise far faster than
-    * vectors of edge tuples.
+  /** A node as a build task returns it: depth, item and L_p, whose primitive
+    * arrays serialise as they are.
     */
-  private final class Row(val depth: Int, val item: Int, thresholds: Array[Double], removed: Array[Array[Long]])
-      extends Serializable {
-    def decomp: Decomposition =
-      Decomposition(thresholds.indices.map(k => (thresholds(k), removed(k).iterator.map(LocalTruss.dekey).toVector)).toVector)
-  }
-
-  private object Row {
-    def apply(depth: Int, item: Int, d: Decomposition): Row =
-      new Row(depth, item, d.nodes.map(_._1).toArray,
-              d.nodes.map(_._2.iterator.map(e => LocalTruss.ekey(e._1, e._2)).toArray).toArray)
-  }
+  private final case class Row(depth: Int, item: Int, decomp: Decomposition)
 
   private def computeDecomp(net: CompactNetwork, pattern: Vector[Int], within: Iterable[(Int, Int)]): Decomposition = {
     val f = MinerOps.freqFn(net, pattern)
@@ -193,7 +213,11 @@ object TCTree {
   }
 
   /** Sorted canonical keys of C*_p(0), i.e. of every edge in L_p. */
-  private def edgeKeys(d: Decomposition): Array[Long] = LocalTruss.edgeKeys(d.nodes.iterator.flatMap(_._2))
+  private def edgeKeys(d: Decomposition): Array[Long] = {
+    val keys = d.keys.clone()
+    java.util.Arrays.sort(keys)
+    keys
+  }
 
   /** Appends, in pre-order, the subtree below the node with `pattern` and
     * α = 0 truss `keys`, whose later siblings are `later` (ascending item).

@@ -82,4 +82,27 @@ object TestNets {
 
   def toDF(spark: SparkSession, g: GenNet): DatabaseNetwork = g.toDF(spark)
   def compact(g: GenNet): CompactNetwork = g.compact
+
+  /** Connected components by breadth-first search over an adjacency map,
+    * largest first, ties by least vertex: the reference for the union-find
+    * in `LocalTruss.components`. A self-loop makes its vertex a component.
+    */
+  def bfsComponents(edges: Iterable[(Int, Int)]): Vector[Set[Int]] = {
+    val adj = edges.flatMap { case (u, v) => Seq(u -> v, v -> u) }
+      .groupBy(_._1).view.mapValues(_.map(_._2).toSet).toMap
+    var seen = Set.empty[Int]
+    val out = Vector.newBuilder[Set[Int]]
+    for (s <- adj.keys.toVector.sorted if !seen(s)) {
+      var comp = Set(s)
+      var frontier = List(s)
+      while (frontier.nonEmpty) {
+        val next = frontier.flatMap(adj).filterNot(comp)
+        comp ++= next
+        frontier = next.distinct
+      }
+      seen ++= comp
+      out += comp
+    }
+    out.result().sortBy(c => (-c.size, c.min))
+  }
 }

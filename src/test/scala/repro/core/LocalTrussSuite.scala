@@ -1,5 +1,6 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test}
 import org.scalatest.funsuite.AnyFunSuite
 
 import scala.util.Random
@@ -230,6 +231,37 @@ class LocalTrussSuite extends AnyFunSuite {
     }
   }
 
+  test("compact Decomposition: suffix lookup equals the Equation 1 filter over its groups") {
+    val decomposition = for {
+      seed <- Gen.choose(0L, Long.MaxValue)
+      maxN <- Gen.choose(4, 14)
+    } yield {
+      val rnd = new Random(seed)
+      val g = repro.TestNets.randomNet(rnd, maxN)
+      decompose(g.edges, repro.TestNets.randomFreqs(rnd, g.n))
+    }
+    def reference(d: Decomposition, alpha: Double): Vector[(Int, Int)] =
+      d.nodes.filter(_._1 > alpha + Eps).flatMap(_._2)
+    val prop = Prop.forAll(decomposition, Gen.listOfN(4, Gen.choose(0.0, 3.0))) { (d, randomAlphas) =>
+      val ths = d.nodes.map(_._1)
+      val alphas = randomAlphas ++ ths.flatMap(a => Seq(a, a - 1e-12, a + 1e-12, a - Eps, a + Eps)) :+ 0.0
+      alphas.forall { a =>
+        val want = reference(d, a)
+        d.trussAt(a) == want && d.keys.drop(d.suffixFrom(a)).toVector.map(dekey) == want &&
+          (d.maxAlpha > a + Eps) == want.nonEmpty
+      } &&
+        d.thresholds.toVector == ths && ths == ths.sorted && ths.distinct == ths &&
+        d.maxAlpha == (if (ths.isEmpty) 0.0 else ths.last) &&
+        d.nEdgesTotal == d.nodes.map(_._2.length).sum && d.isEmpty == ths.isEmpty &&
+        d.nodes.forall { case (_, es) => es == es.sorted && es.forall(e => e._1 < e._2) }
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(300), prop)
+    assert(res.passed, res.status)
+    val e = Decomposition.empty
+    assert(e.isEmpty && e.nEdgesTotal == 0 && e.maxAlpha == 0.0 && e.nodes.isEmpty)
+    assert(e.trussAt(0.0).isEmpty && e.suffixFrom(0.0) == 0)
+  }
+
   test("decompose of an empty/triangle-free graph is empty") {
     assert(decompose(Vector.empty[(Int, Int)], one).isEmpty)
     assert(decompose(Vector((0, 1), (1, 2)), one).isEmpty)
@@ -257,5 +289,17 @@ class LocalTrussSuite extends AnyFunSuite {
 
   test("connectedComponents of empty edge set is empty") {
     assert(connectedComponents(Nil).isEmpty)
+  }
+
+  test("connectedComponents equals breadth-first search on random edge sets, self-loops included") {
+    val edge = Gen.zip(Gen.choose(-3, 25), Gen.choose(-3, 25))
+    val prop = Prop.forAll(Gen.listOf(edge), Gen.choose(0, 5)) { (edges, from) =>
+      val keys = edges.map { case (u, v) => ekey(u, v) }.toArray
+      val start = math.min(from, keys.length)
+      connectedComponents(edges) == repro.TestNets.bfsComponents(edges) &&
+        components(keys, start, keys.length) == repro.TestNets.bfsComponents(edges.drop(start))
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(300), prop)
+    assert(res.passed, res.status)
   }
 }

@@ -106,6 +106,21 @@ class MinersSuite extends SparkSpec {
     }
   }
 
+  test("miners reject maxLen < 1 and TCS rejects eps < 0 and NaN, on the driver") {
+    val c = TestNets.triangleNet.compact
+    for (m <- Seq(0, -1, Int.MinValue)) {
+      intercept[IllegalArgumentException](TCFI.run(spark, c, 0.0, maxLen = m))
+      intercept[IllegalArgumentException](TCFA.run(spark, c, 0.0, maxLen = m))
+      intercept[IllegalArgumentException](TCS.run(spark, c, 0.0, eps = 0.1, maxLen = m))
+      intercept[IllegalArgumentException](Levelwise.serial(c, 0.0, maxLen = m, useIntersection = true))
+    }
+    for (e <- Seq(-0.1, -1e-12, Double.NaN))
+      intercept[IllegalArgumentException](TCS.run(spark, c, 0.0, eps = e))
+    // The smallest legal values still run.
+    assert(TCFI.run(spark, c, 0.0, maxLen = 1).trusses.keySet == Set(Vector(0), Vector(1)))
+    assert(TCS.run(spark, c, 0.0, eps = 0.0, maxLen = 1).trusses.keySet == Set(Vector(0), Vector(1)))
+  }
+
   // ------------------------------------------------------------ tiny network
 
   test("TCFA on the triangle net finds {0}, {1}, {0,1} at alpha = 0.4") {

@@ -14,6 +14,8 @@ class TCTreeSuite extends SparkSpec {
   private lazy val plantedCompact = plantedNet.compact
   private lazy val plantedTree = TCTree.build(spark, plantedCompact, maxDepth = 4)
   private lazy val plantedExact = TCFI.run(spark, plantedCompact, 0.0, maxLen = 4)
+  private lazy val bkCompact = NetGen.bkLike(300, seed = 5).compact
+  private lazy val bkTree = TCTree.build(spark, bkCompact)
 
   /** Algorithm 4 as the paper states it: breadth-first, level by level,
     * with no Spark. Each child is decomposed inside the intersection of its
@@ -128,6 +130,11 @@ class TCTreeSuite extends SparkSpec {
     }
   }
 
+  test("build rejects maxDepth < 1 on the driver") {
+    for (d <- Seq(0, -1, Int.MinValue))
+      intercept[IllegalArgumentException](TCTree.build(spark, plantedCompact, maxDepth = d))
+  }
+
   test("QBP: returns exactly the stored sub-patterns of the query pattern") {
     val deepest = plantedTree.nodes.maxBy(_.pattern.length)
     val qr = plantedTree.queryByPattern(deepest.pattern)
@@ -160,11 +167,35 @@ class TCTreeSuite extends SparkSpec {
   }
 
   test("query communities are maximal connected subgraphs of retrieved trusses") {
-    val qr = plantedTree.queryByAlpha(plantedCompact.items.toSet, 0.1)
-    for ((p, es) <- qr.results.take(5)) {
-      val cc = LocalTruss.connectedComponents(es)
-      val allV = es.flatMap(e => Seq(e._1, e._2)).toSet
-      assert(cc.map(_.size).sum == allV.size, Pattern.key(p))
+    // Reference: scan every node, keep those with pattern ⊆ q and a
+    // non-empty truss at α_q, and split each truss by breadth-first search.
+    def bruteForce(tree: TCTree, q: Set[Int], alpha: Double): Set[(Vector[Int], Set[Int])] =
+      tree.nodes.iterator.filter(_.pattern.forall(q)).flatMap { n =>
+        TestNets.bfsComponents(n.trussAt(alpha)).map(c => (n.pattern, c))
+      }.toSet
+    for ((name, tree, net) <- Seq(("planted", plantedTree, plantedCompact), ("bkLike", bkTree, bkCompact))) {
+      val items = net.items.toSet
+      val queries = Seq(0.0, 0.1, 0.3, tree.alphaStar / 2).map(a => (items, a)) ++
+        tree.nodes.sortBy(n => (-n.pattern.length, Pattern.key(n.pattern))).take(5).map(n => (n.pattern.toSet, 0.0))
+      for ((q, alpha) <- queries) {
+        val got = tree.query(q, alpha).communities
+        val want = bruteForce(tree, q, alpha)
+        assert(want.nonEmpty, s"$name q=$q alpha=$alpha")
+        assert(got.length == want.size && got.toSet == want, s"$name q=$q alpha=$alpha")
+      }
+    }
+  }
+
+  test("query ignores q items that no node carries: negative and above every tree item") {
+    for ((tree, net) <- Seq((plantedTree, plantedCompact), (bkTree, bkCompact))) {
+      val maxItem = tree.nodes.map(_.item).max
+      val deepest = tree.nodes.maxBy(_.pattern.length).pattern.toSet
+      for (q <- Seq(net.items.toSet, deepest); alpha <- Seq(0.0, 0.2)) {
+        val plain = tree.query(q, alpha)
+        val noisy = tree.query(q ++ Set(-1, -7, Int.MinValue, maxItem + 1, maxItem + 1000, Int.MaxValue), alpha)
+        assert(noisy.retrievedNodes == plain.retrievedNodes)
+        assert(noisy.results == plain.results)
+      }
     }
   }
 
@@ -181,7 +212,7 @@ class TCTreeSuite extends SparkSpec {
   }
 
   test("build equals a breadth-first Algorithm 4 node for node, at every depth cap") {
-    val nets = Seq("planted" -> plantedCompact, "bkLike" -> NetGen.bkLike(300, seed = 5).compact)
+    val nets = Seq("planted" -> plantedCompact, "bkLike" -> bkCompact)
     for ((name, net) <- nets; maxDepth <- Seq(1, 2, 3, Int.MaxValue)) {
       val ctx = s"$name maxDepth=$maxDepth"
       def same(got: TCNode, want: TCNode): Unit = {
