@@ -19,12 +19,7 @@ final class Truss(val keys: Array[Long], val cohesions: Array[Double]) extends S
   def cohesion: Map[Long, Double] = keys.iterator.zip(cohesions.iterator).toMap
   def vertices: Set[Int] = edges.iterator.flatMap(e => Iterator(e._1, e._2)).toSet
 
-  def nVertices: Int = {
-    val ends = new Array[Int](2 * keys.length)
-    for (i <- keys.indices) { ends(2 * i) = (keys(i) >> 32).toInt; ends(2 * i + 1) = keys(i).toInt }
-    java.util.Arrays.sort(ends)
-    ends.indices.count(i => i == 0 || ends(i) != ends(i - 1))
-  }
+  def nVertices: Int = LocalTruss.endpoints(keys, 0, keys.length).length
 
   def minCohesion: Double = if (isEmpty) 0.0 else cohesions.min
 
@@ -157,100 +152,201 @@ object LocalTruss {
       .map { case (u, v) => if (u < v) (u, v) else (v, u) }
       .toVector
 
-  /** Peeling state shared by MPTD and the decomposition: adjacency sets plus
-    * live edge cohesions, supporting repeated `peel(α)` calls with ascending α.
-    */
-  private final class PeelState(edges0: Iterable[(Int, Int)], f: Int => Double) {
-    val adj: mutable.Map[Int, mutable.Set[Int]] = mutable.Map.empty
-    val eco: mutable.Map[Long, Double] = mutable.Map.empty
+  /** Ascending, duplicate-free canonical keys of `edges`, self-loops dropped. */
+  private def simpleKeys(edges: Iterable[(Int, Int)]): Array[Long] = {
+    val keys = edgeKeys(edges.iterator.filter(e => e._1 != e._2))
+    var n = 0
+    for (i <- keys.indices if i == 0 || keys(i) != keys(i - 1)) { keys(n) = keys(i); n += 1 }
+    java.util.Arrays.copyOf(keys, n)
+  }
 
-    for ((u, v) <- edges0 if u != v) {
-      adj.getOrElseUpdate(u, mutable.Set.empty) += v
-      adj.getOrElseUpdate(v, mutable.Set.empty) += u
+  /** The ascending distinct endpoints of the edges keyed by `keys(from until until)`. */
+  private[core] def endpoints(keys: Array[Long], from: Int, until: Int): Array[Int] = {
+    val ends = new Array[Int](2 * (until - from))
+    for (i <- from until until) { ends(2 * (i - from)) = (keys(i) >> 32).toInt; ends(2 * (i - from) + 1) = keys(i).toInt }
+    java.util.Arrays.sort(ends)
+    var n = 0
+    for (i <- ends.indices if i == 0 || ends(i) != ends(i - 1)) { ends(n) = ends(i); n += 1 }
+    java.util.Arrays.copyOf(ends, n)
+  }
+
+  /** The peeling kernel behind `mptd` and `decompose`, on primitive arrays.
+    *
+    * `keys0` are ascending canonical edge keys without self-loops. Their
+    * endpoints are relabelled 0 until n in ascending order and each
+    * endpoint's frequency is read once. Edges with a zero-frequency
+    * endpoint are dropped there: that is theme induction, and it changes
+    * no cohesion, since every triangle through such a vertex adds 0. The
+    * other edges keep their key order as edge ids 0 until m and form a CSR
+    * whose neighbour lists are ascending, with a parallel edge-id array:
+    * because the keys ascend, filling it in key order sorts every list.
+    * Common neighbours are found by a linear merge of two lists, so each
+    * cohesion is summed in ascending neighbour order and equal edge sets
+    * give bit-equal cohesions whichever path built them.
+    *
+    * Peeling clears live flags instead of removing edges from the lists. Each
+    * edge enters the `Int` queue at most once over all `peel` calls (its
+    * queued flag stays set), so `queue(from until tail)` are the edges a
+    * call removed, in removal order.
+    */
+  private final class Peel(keys0: Array[Long], freq: Int => Double) {
+    private val verts: Array[Int] = endpoints(keys0, 0, keys0.length)
+    private val f: Array[Double] = {
+      val out = new Array[Double](verts.length)
+      for (i <- verts.indices) out(i) = freq(verts(i))
+      out
     }
+    private def local(v: Int): Int = java.util.Arrays.binarySearch(verts, v)
+
+    /** Edge e < m of the theme network has key keys(e) and local ends
+      * eu(e) < ev(e); ids follow key order.
+      */
+    val keys = new Array[Long](keys0.length)
+    private val eu = new Array[Int](keys0.length)
+    private val ev = new Array[Int](keys0.length)
+    val m: Int = {
+      var n = 0
+      for (k <- keys0) {
+        val u = local((k >> 32).toInt); val v = local(k.toInt)
+        if (f(u) > 0.0 && f(v) > 0.0) { keys(n) = k; eu(n) = u; ev(n) = v; n += 1 }
+      }
+      n
+    }
+    private val off = new Array[Int](verts.length + 1)
+    private val nbr = new Array[Int](2 * m)
+    private val eid = new Array[Int](2 * m)
+    for (e <- 0 until m) { off(eu(e) + 1) += 1; off(ev(e) + 1) += 1 }
+    for (v <- verts.indices) off(v + 1) += off(v)
+    locally {
+      val next = java.util.Arrays.copyOf(off, verts.length)
+      for (e <- 0 until m) {
+        val u = eu(e); val v = ev(e)
+        nbr(next(u)) = v; eid(next(u)) = e; next(u) += 1
+        nbr(next(v)) = u; eid(next(v)) = e; next(v) += 1
+      }
+    }
+
+    val eco = new Array[Double](m)
+    val live = new Array[Boolean](m)
+    java.util.Arrays.fill(live, true)
+    var nLive: Int = m
+    private val queued = new Array[Boolean](m)
+    val queue = new Array[Int](m)
+    var tail = 0
+
     // Initial cohesion (Algorithm 1 lines 2-8): for each edge, sum over the
     // triangles containing it of the min frequency of the three corners.
-    for (u <- adj.keys; v <- adj(u) if u < v) {
+    for (e <- 0 until m) {
+      val u = eu(e); val v = ev(e)
+      val fuv = math.min(f(u), f(v))
       var s = 0.0
-      val (small, large) = if (adj(u).size <= adj(v).size) (adj(u), adj(v)) else (adj(v), adj(u))
-      for (w <- small if large.contains(w))
-        s += math.min(math.min(f(u), f(v)), f(w))
-      eco(ekey(u, v)) = s
+      var i = off(u); var j = off(v)
+      while (i < off(u + 1) && j < off(v + 1)) {
+        if (nbr(i) == nbr(j)) { s += math.min(fuv, f(nbr(i))); i += 1; j += 1 }
+        else if (nbr(i) < nbr(j)) i += 1
+        else j += 1
+      }
+      eco(e) = s
     }
 
-    /** Remove every edge whose cohesion is ≤ α, cascading (Algorithm 1
-      * lines 9-18). Returns the keys of the removed edges.
+    private def enqueue(e: Int): Unit = { queued(e) = true; queue(tail) = e; tail += 1 }
+
+    /** Remove every live edge whose cohesion is ≤ α, cascading (Algorithm 1
+      * lines 9-18): each removal takes its triangles' share off the
+      * triangles' two other edges while both are still live.
       */
-    def peel(alpha: Double): Array[Long] = {
+    def peel(alpha: Double): Unit = {
       val threshold = alpha + Eps
-      val removed = new mutable.ArrayBuilder.ofLong
-      val queue = mutable.ArrayDeque.empty[Long]
-      for ((k, c) <- eco if c <= threshold) queue.append(k)
-      while (queue.nonEmpty) {
-        val k = queue.removeHead()
-        if (eco.contains(k) && eco(k) <= threshold) {
-          val (u, v) = dekey(k)
-          val (small, large) = if (adj(u).size <= adj(v).size) (adj(u), adj(v)) else (adj(v), adj(u))
-          val common = small.iterator.filter(large.contains).toArray
-          val fuv = math.min(f(u), f(v))
-          for (w <- common) {
-            val m = math.min(fuv, f(w))
-            val kuw = ekey(u, w); val kvw = ekey(v, w)
-            eco(kuw) -= m
-            eco(kvw) -= m
-            if (eco(kuw) <= threshold) queue.append(kuw)
-            if (eco(kvw) <= threshold) queue.append(kvw)
-          }
-          adj(u) -= v; adj(v) -= u
-          eco.remove(k)
-          removed += k
+      var head = tail
+      var e0 = 0
+      while (e0 < m) {
+        if (live(e0) && !queued(e0) && eco(e0) <= threshold) enqueue(e0)
+        e0 += 1
+      }
+      while (head < tail) {
+        val e = queue(head)
+        head += 1
+        live(e) = false; nLive -= 1
+        val u = eu(e); val v = ev(e)
+        val fuv = math.min(f(u), f(v))
+        var i = off(u); var j = off(v)
+        while (i < off(u + 1) && j < off(v + 1)) {
+          if (nbr(i) == nbr(j)) {
+            val a = eid(i); val b = eid(j)
+            if (live(a) && live(b)) {
+              val d = math.min(fuv, f(nbr(i)))
+              eco(a) -= d; eco(b) -= d
+              if (!queued(a) && eco(a) <= threshold) enqueue(a)
+              if (!queued(b) && eco(b) <= threshold) enqueue(b)
+            }
+            i += 1; j += 1
+          } else if (nbr(i) < nbr(j)) i += 1
+          else j += 1
         }
       }
-      removed.result()
     }
 
-    def remaining: Truss = {
-      val keys = eco.keysIterator.toArray
-      java.util.Arrays.sort(keys)
-      new Truss(keys, keys.map(eco))
+    /** The least cohesion of a live edge: the next threshold of Theorem 6.1. */
+    def minLive: Double = {
+      var min = Double.PositiveInfinity
+      var e = 0
+      while (e < m) {
+        if (live(e) && eco(e) < min) min = eco(e)
+        e += 1
+      }
+      min
     }
   }
 
   /** Algorithm 1: the maximal pattern truss C*_p(α) of the theme network
-    * given by `edges` and vertex frequencies `freq`. The input need not be
-    * theme-induced; zero-frequency endpoints yield zero-cohesion edges which
-    * peel away (α ≥ 0 always).
+    * on the edges keyed by `keys` (ascending canonical keys, no
+    * self-loops) with vertex frequencies `freq`. The keys need not be
+    * theme-induced: edges with a zero-frequency endpoint are dropped.
     */
-  def mptd(edges: Iterable[(Int, Int)], freq: Int => Double, alpha: Double): Truss = {
+  def mptd(keys: Array[Long], freq: Int => Double, alpha: Double): Truss = {
     require(alpha >= 0.0, s"alpha must be >= 0, got $alpha")
-    val st = new PeelState(edges, freq)
+    val st = new Peel(keys, freq)
     st.peel(alpha)
-    st.remaining
+    val out = new Array[Long](st.nLive)
+    val cohesions = new Array[Double](st.nLive)
+    var n = 0
+    for (e <- 0 until st.m if st.live(e)) { out(n) = st.keys(e); cohesions(n) = st.eco(e); n += 1 }
+    new Truss(out, cohesions)
   }
 
-  /** Theorem 6.1 decomposition of C*_p(0) into L_p: repeatedly set the next
-    * threshold to the minimum surviving edge cohesion β and record the edges
-    * removed by peeling at β. Terminates because each step removes ≥ 1 edge.
+  /** `mptd` of any edges: orientation, duplicates and self-loops are ignored. */
+  def mptd(edges: Iterable[(Int, Int)], freq: Int => Double, alpha: Double): Truss =
+    mptd(simpleKeys(edges), freq, alpha)
+
+  /** Theorem 6.1 decomposition of C*_p(0) into L_p, for the edges keyed by
+    * `keys` as in `mptd`: repeatedly set the next threshold to the minimum
+    * surviving edge cohesion β and record the edges removed by peeling at
+    * β. Terminates because each step removes ≥ 1 edge.
     */
-  def decompose(edges: Iterable[(Int, Int)], freq: Int => Double): Decomposition = {
-    val st = new PeelState(edges, freq)
+  def decompose(keys: Array[Long], freq: Int => Double): Decomposition = {
+    val st = new Peel(keys, freq)
     st.peel(0.0)
-    val keys = new Array[Long](st.eco.size)
+    val out = new Array[Long](st.nLive)
     val thresholds = new mutable.ArrayBuilder.ofDouble
     val offsets = new mutable.ArrayBuilder.ofInt
     offsets += 0
     var n = 0
-    while (st.eco.nonEmpty) {
-      val beta = st.eco.valuesIterator.min
-      val removed = st.peel(beta)
-      java.util.Arrays.sort(removed)
-      System.arraycopy(removed, 0, keys, n, removed.length)
-      n += removed.length
+    while (st.nLive > 0) {
+      val beta = st.minLive
+      val from = st.tail
+      st.peel(beta)
+      // Edge ids follow key order, so sorting the ids sorts the group's keys.
+      java.util.Arrays.sort(st.queue, from, st.tail)
+      for (i <- from until st.tail) { out(n) = st.keys(st.queue(i)); n += 1 }
       thresholds += beta
       offsets += n
     }
-    new Decomposition(thresholds.result(), keys, offsets.result())
+    new Decomposition(thresholds.result(), out, offsets.result())
   }
+
+  /** `decompose` of any edges: orientation, duplicates and self-loops are ignored. */
+  def decompose(edges: Iterable[(Int, Int)], freq: Int => Double): Decomposition =
+    decompose(simpleKeys(edges), freq)
 
   /** Maximal connected subgraphs of a truss = the theme communities
     * (Definition 3.5), as vertex sets, largest first (ties by least vertex).

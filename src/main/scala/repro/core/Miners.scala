@@ -61,18 +61,6 @@ private final class TrussMap(levels: Vector[Levelwise.Rows]) extends AbstractMap
 
 private[repro] object MinerOps {
 
-  /** Memoising frequency function for one pattern. */
-  def freqFn(net: CompactNetwork, p: Vector[Int]): Int => Double = {
-    val cache = new java.util.HashMap[Integer, java.lang.Double]()
-    v => cache.computeIfAbsent(v, _ => net.freq(v, p)).doubleValue()
-  }
-
-  /** MPTD on the theme network of `p` induced from the edge set `within`. */
-  def detect(net: CompactNetwork, p: Vector[Int], within: Iterable[(Int, Int)], alpha: Double): Truss = {
-    val f = freqFn(net, p)
-    LocalTruss.mptd(LocalTruss.themeInduce(within, f), f, alpha)
-  }
-
   /** α ranges over [0, ∞); checked on the driver, before any Spark job. */
   def requireAlpha(alpha: Double): Unit = require(alpha >= 0.0, s"alpha must be >= 0, got $alpha")
 
@@ -109,7 +97,8 @@ object TCS {
       .parallelize(candidates.toIndexedSeq, MinerOps.slices(spark, candidates.length))
       .map { p =>
         val n = bc.value
-        (p, MinerOps.detect(n, p, n.edgeList, alpha))
+        val pa = p.toArray
+        (p, LocalTruss.mptd(n.themeKeys(pa), n.freq(_, pa), alpha))
       }
       .filter(!_._2.isEmpty)
       .collect()
@@ -121,9 +110,10 @@ object TCS {
 
 /** Theme Community Finder Apriori (Algorithm 3). Level-wise: qualified
   * length-(k−1) patterns generate length-k candidates via Algorithm 2; each
-  * candidate's theme network is induced from the *full* database network and
-  * peeled by MPTD. Exact. Runs on the `Levelwise` engine: one Spark job per
-  * level, one task per range of prefix classes.
+  * candidate's theme network is induced from the *full* database network
+  * (`CompactNetwork.themeKeys`) and peeled by MPTD. Exact. Runs on the
+  * `Levelwise` engine: one Spark job per level, one task per range of
+  * prefix classes.
   */
 object TCFA {
   def run(spark: SparkSession, net: CompactNetwork, alpha: Double,
@@ -167,8 +157,9 @@ private[repro] object Levelwise {
 
   /** Ranges per core in one level's job: ranges hold equal pair counts, but
     * pairs differ in cost, so a few ranges per core even out the load.
+    * `TCTree.build` cuts its layer-1 subtrees the same way.
     */
-  private val RangesPerCore = 4
+  val RangesPerCore = 4
 
   def run(spark: SparkSession, net: CompactNetwork, alpha: Double, maxLen: Int,
           useIntersection: Boolean): MiningResult = {
@@ -307,7 +298,10 @@ private[repro] object Levelwise {
   /** Level-1 task: MPTD on the theme network of each item `items(from until until)`. */
   private def seed(net: CompactNetwork, items: Array[Int], from: Int, until: Int, alpha: Double): Rows = {
     val out = new RowsBuilder(1)
-    for (i <- from until until) out.detect(net, Array(items(i)), net.edgeList, alpha)
+    for (i <- from until until) {
+      val p = Array(items(i))
+      out.detect(net, p, net.themeKeys(p), alpha)
+    }
     out.result()
   }
 
@@ -320,11 +314,11 @@ private[repro] object Levelwise {
                    useIntersection: Boolean): Rows = {
     val out = new RowsBuilder(ps.patterns.width + 1)
     for (r <- from until until) ps.patterns.join(r) { (s, c) =>
-      if (!useIntersection) out.detect(net, c, net.edgeList, alpha)
+      if (!useIntersection) out.detect(net, c, net.themeKeys(c), alpha)
       else {
         val within = LocalTruss.intersectKeys(ps.keys, ps.from(r), ps.ends(r), ps.keys, ps.from(s), ps.ends(s))
         if (within.isEmpty) out.prune()
-        else out.detect(net, c, within.view.map(LocalTruss.dekey), alpha)
+        else out.detect(net, c, within, alpha)
       }
     }
     out.result()
@@ -340,9 +334,10 @@ private[repro] object Levelwise {
     private var mptdCalls = 0L
     private var pruned = 0L
 
-    def detect(net: CompactNetwork, c: Array[Int], within: Iterable[(Int, Int)], alpha: Double): Unit = {
+    /** MPTD on the theme network of `c` within the edges keyed by `within`. */
+    def detect(net: CompactNetwork, c: Array[Int], within: Array[Long], alpha: Double): Unit = {
       candidates += 1; mptdCalls += 1
-      val t = MinerOps.detect(net, c.toVector, within, alpha)
+      val t = LocalTruss.mptd(within, net.freq(_, c), alpha)
       if (!t.isEmpty) {
         patterns ++= c; keys ++= t.keys; cohesions ++= t.cohesions
         nKeys += t.nEdges; ends += nKeys

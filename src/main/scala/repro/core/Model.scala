@@ -3,6 +3,8 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
+import scala.collection.mutable
+
 /** A database network G = (V, E, D, S) held as Spark DataFrames.
   *
   * Schemas (all column types are INT unless noted):
@@ -84,10 +86,12 @@ object DatabaseNetwork {
 
 /** Driver-side / broadcast-friendly view of a database network.
   *
-  * Holds sorted adjacency arrays and, per vertex, the transaction list plus
-  * an inverted index item → sorted tx indices, so that
+  * Holds sorted, duplicate-free adjacency arrays and, per vertex, the
+  * transaction list plus a vertical index item → sorted tx indices, so that
   * f_i(p) = |∩_{s∈p} txIdx(i)(s)| / |d_i| is an intersection of sorted int
-  * arrays — the hot loop of every miner.
+  * arrays — the hot loop of every miner. An item → supporting-vertices
+  * index lets a theme network be induced from the vertices of its rarest
+  * item instead of from the whole edge list.
   */
 final case class CompactNetwork(
     adj: Array[Array[Int]],
@@ -105,50 +109,101 @@ final case class CompactNetwork(
 
   def nEdges: Int = edgeList.length
 
-  /** item → sorted array of transaction indices, per vertex. */
-  @transient lazy val txIndex: Array[Map[Int, Array[Int]]] = txs.map { db =>
-    val m = scala.collection.mutable.Map.empty[Int, scala.collection.mutable.ArrayBuffer[Int]]
-    for ((t, ti) <- db.zipWithIndex; item <- t)
-      m.getOrElseUpdate(item, scala.collection.mutable.ArrayBuffer.empty[Int]) += ti
-    m.iterator.map { case (k, v) => (k, v.toArray) }.toMap
+  /** Per vertex, its distinct items in ascending order. */
+  @transient private lazy val txItems: Array[Array[Int]] =
+    txs.map(db => db.iterator.flatMap(_.iterator).toArray.distinct.sorted)
+
+  /** Per vertex, parallel to `txItems`: the ascending indices of the
+    * transactions that contain each item.
+    */
+  @transient private lazy val txLists: Array[Array[Array[Int]]] = Array.tabulate(n) { v =>
+    val its = txItems(v)
+    val lists = Array.fill(its.length)(new mutable.ArrayBuilder.ofInt)
+    for ((t, ti) <- txs(v).zipWithIndex; item <- t) lists(java.util.Arrays.binarySearch(its, item)) += ti
+    lists.map(_.result())
   }
 
   /** All distinct items in S (those appearing in at least one transaction). */
   @transient lazy val items: Array[Int] =
     txs.iterator.flatMap(_.iterator.flatMap(_.iterator)).toArray.distinct.sorted
 
-  private def intersectSize(lists: Seq[Array[Int]]): Int = {
-    if (lists.isEmpty) return 0
-    var acc = lists.minBy(_.length)
-    for (l <- lists if !(l eq acc)) {
-      val out = Array.newBuilder[Int]
-      var i = 0; var j = 0
-      while (i < acc.length && j < l.length) {
-        if (acc(i) == l(j)) { out += acc(i); i += 1; j += 1 }
-        else if (acc(i) < l(j)) i += 1
-        else j += 1
-      }
-      acc = out.result()
-      if (acc.isEmpty) return 0
-    }
-    acc.length
+  /** Parallel to `items`: the ascending vertices whose database holds the item. */
+  @transient private lazy val supports: Array[Array[Int]] = {
+    val out = Array.fill(items.length)(new mutable.ArrayBuilder.ofInt)
+    for (v <- 0 until n; item <- txItems(v)) out(java.util.Arrays.binarySearch(items, item)) += v
+    out.map(_.result())
+  }
+
+  /** The ascending vertices whose database holds `item` (none if it is not in S). */
+  def support(item: Int): Array[Int] = {
+    val i = java.util.Arrays.binarySearch(items, item)
+    if (i < 0) Array.emptyIntArray else supports(i)
   }
 
   /** Frequency f_v(p): fraction of v's transactions containing pattern p.
     * f_v(∅) = 1 when v has at least one transaction (every transaction
     * contains the empty pattern), 0 for a vertex with an empty database.
     */
-  def freq(v: Int, p: Vector[Int]): Double = {
-    val db = txs(v)
-    if (db.isEmpty) return 0.0
+  def freq(v: Int, p: Array[Int]): Double = {
+    val nTx = txs(v).length
+    if (nTx == 0) return 0.0
     if (p.isEmpty) return 1.0
-    val idx = txIndex(v)
-    val lists = p.map(idx.getOrElse(_, null))
-    if (lists.exists(_ == null)) 0.0
-    else intersectSize(lists).toDouble / db.length
+    val its = txItems(v)
+    val lists = new Array[Array[Int]](p.length)
+    var shortest = 0
+    var k = 0
+    while (k < p.length) {
+      val i = java.util.Arrays.binarySearch(its, p(k))
+      if (i < 0) return 0.0
+      lists(k) = txLists(v)(i)
+      if (lists(k).length < lists(shortest).length) shortest = k
+      k += 1
+    }
+    if (p.length == 1) return lists(0).length.toDouble / nTx
+    // Intersect the other lists into a copy of the shortest one, in place.
+    val acc = lists(shortest).clone()
+    var size = acc.length
+    k = 0
+    while (k < p.length && size > 0) {
+      if (k != shortest) {
+        val l = lists(k)
+        var i = 0; var j = 0; var out = 0
+        while (i < size && j < l.length) {
+          if (acc(i) == l(j)) { acc(out) = acc(i); out += 1; i += 1; j += 1 }
+          else if (acc(i) < l(j)) i += 1
+          else j += 1
+        }
+        size = out
+      }
+      k += 1
+    }
+    size.toDouble / nTx
   }
 
+  def freq(v: Int, p: Vector[Int]): Double = freq(v, p.toArray)
+
   /** Frequencies of p on every vertex, as a dense array. */
-  def freqAll(p: Vector[Int]): Array[Double] =
-    Array.tabulate(n)(freq(_, p))
+  def freqAll(p: Vector[Int]): Array[Double] = {
+    val pa = p.toArray
+    Array.tabulate(n)(freq(_, pa))
+  }
+
+  /** The theme network G_p as the ascending canonical keys
+    * (`LocalTruss.ekey`) of the edges whose endpoints both have
+    * f_v(p) > 0. The candidate vertices are the support of p's rarest item
+    * (for p = ∅, every vertex with a non-empty database), so the work is
+    * bounded by their degrees, not by the size of the network.
+    */
+  def themeKeys(p: Array[Int]): Array[Long] = {
+    val kept =
+      if (p.isEmpty) Array.range(0, n).filter(txs(_).nonEmpty)
+      else {
+        val rarest = p.iterator.map(support).minBy(_.length)
+        if (p.length == 1) rarest else rarest.filter(freq(_, p) > 0.0)
+      }
+    val out = new mutable.ArrayBuilder.ofLong
+    for (u <- kept; v <- adj(u) if v > u && java.util.Arrays.binarySearch(kept, v) >= 0)
+      out += LocalTruss.ekey(u, v)
+    out.result()
+  }
 }

@@ -47,6 +47,12 @@ object TCQueryResult {
   */
 final class TCTree(val root: TCNode) {
 
+  /** Calls `f` on every non-root node, depth-first, without collecting them. */
+  private def foreachNode(f: TCNode => Unit): Unit = {
+    val stack = mutable.Stack(root)
+    while (stack.nonEmpty) stack.pop().children.foreach { c => f(c); stack.push(c) }
+  }
+
   /** All non-root nodes in breadth-first order. */
   def nodes: Vector[TCNode] = {
     val out = Vector.newBuilder[TCNode]
@@ -59,25 +65,39 @@ final class TCTree(val root: TCNode) {
   }
 
   /** #Nodes of Table 3 (root excluded; every node = one maximal pattern truss). */
-  def nNodes: Int = nodes.length
+  def nNodes: Int = {
+    var k = 0
+    foreachNode(_ => k += 1)
+    k
+  }
 
   def maxDepth: Int = {
     def d(n: TCNode): Int = if (n.children.isEmpty) 0 else 1 + n.children.map(d).max
     d(root)
   }
 
-  def nodesAtDepth(depth: Int): Vector[TCNode] = nodes.filter(_.pattern.length == depth)
+  /** The nodes of pattern length `depth`, in breadth-first order; walks no deeper. */
+  def nodesAtDepth(depth: Int): Vector[TCNode] = {
+    var layer = Vector(root)
+    for (_ <- 1 to depth) layer = layer.flatMap(_.children)
+    if (depth < 1) Vector.empty else layer
+  }
 
   /** Largest nontrivial α over the whole tree: for α_q ≥ this, QBA returns ∅. */
   def alphaStar: Double = {
-    val ns = nodes
-    if (ns.isEmpty) 0.0 else ns.iterator.map(_.decomp.maxAlpha).max
+    var a = 0.0
+    foreachNode(n => a = math.max(a, n.decomp.maxAlpha))
+    a
   }
 
   /** Largest item of any node when the tree is wrapped, or -1 for an empty
     * tree: sizes the q flags.
     */
-  private val maxItem: Int = nodes.iterator.map(_.item).maxOption.getOrElse(-1)
+  private val maxItem: Int = {
+    var m = -1
+    foreachNode(n => m = math.max(m, n.item))
+    m
+  }
 
   /** Algorithm 5: answer query (q, α_q). Prunes a subtree as soon as the
     * child's item is outside q (its descendants cannot be sub-patterns of q)
@@ -132,10 +152,16 @@ object TCTree {
     * computed *inside* C*_{p_f}(0) ∩ C*_{p_b}(0) (Proposition 5.3). So each
     * layer-1 subtree is an independent unit of work, as in Eclat's prefix
     * equivalence classes (Zaki, TKDE 2000): the α = 0 trusses of layer 1 are
-    * broadcast as sorted edge-key arrays, and one Spark task per layer-1
-    * node grows its whole subtree depth-first, intersecting siblings by a
-    * linear merge and skipping empty intersections before decomposing. The
-    * tasks return their nodes in pre-order; the driver only attaches them.
+    * broadcast as sorted edge-key arrays, and the layer-1 nodes are cut
+    * into contiguous ranges weighted by their later-sibling counts
+    * (`Levelwise.cut`, a few ranges per core). One Spark task per range
+    * grows each of its subtrees depth-first, intersecting siblings by a
+    * linear merge and skipping empty intersections before decomposing.
+    * Every theme network is peeled by the primitive kernel
+    * (`LocalTruss.decompose` on edge keys): layer 1's are induced from the
+    * supports of the items (`CompactNetwork.themeKeys`), deeper ones are
+    * the sibling intersections themselves. The tasks return their nodes in
+    * pre-order; the driver only attaches them.
     *
     * @param maxDepth safety cap on pattern length (the enumeration
     *                 terminates on its own when decompositions are empty).
@@ -151,7 +177,8 @@ object TCTree {
       .parallelize(net.items.toIndexedSeq, MinerOps.slices(spark, net.items.length))
       .flatMap { s =>
         val n = bc.value
-        val d = computeDecomp(n, Vector(s), n.edgeList)
+        val p = Array(s)
+        val d = LocalTruss.decompose(n.themeKeys(p), n.freq(_, p))
         if (d.isEmpty) None else Some(Row(1, s, d))
       }
       .collect()
@@ -159,18 +186,25 @@ object TCTree {
       .map(r => new TCNode(r.item, Vector(r.item), r.decomp))
     root.children ++= layer1
 
-    // Deeper layers (Algorithm 4 lines 6-12): one task per layer-1 subtree.
+    // Deeper layers (Algorithm 4 lines 6-12): one task per range of
+    // layer-1 subtrees. The last node has no later sibling, hence no subtree.
     if (maxDepth > 1 && layer1.length > 1) {
       val sibs = sc.broadcast(layer1.map(n => Sibling(n.item, edgeKeys(n.decomp))))
+      val weights = Array.tabulate(layer1.length)(i => (layer1.length - 1 - i).toLong)
+      val ranges = Levelwise.cut(weights, sc.defaultParallelism * Levelwise.RangesPerCore)
       val subtrees = sc
-        .parallelize(layer1.indices, layer1.length)
-        .map { i =>
+        .parallelize(ranges, ranges.length)
+        .map { case (from, until) =>
           val ss = sibs.value
-          val out = Array.newBuilder[Row]
-          growSubtree(bc.value, Vector(ss(i).item), ss(i).keys, ss.drop(i + 1), maxDepth, out)
-          out.result()
+          Array.tabulate(until - from) { k =>
+            val i = from + k
+            val out = Array.newBuilder[Row]
+            growSubtree(bc.value, Array(ss(i).item), ss(i).keys, ss.drop(i + 1), maxDepth, out)
+            out.result()
+          }
         }
         .collect()
+        .flatten
       sibs.destroy()
       // Each subtree's rows are in pre-order, so a row's parent is the last
       // row one level up. Nodes are then created depth by depth: that is
@@ -207,11 +241,6 @@ object TCTree {
     */
   private final case class Row(depth: Int, item: Int, decomp: Decomposition)
 
-  private def computeDecomp(net: CompactNetwork, pattern: Vector[Int], within: Iterable[(Int, Int)]): Decomposition = {
-    val f = MinerOps.freqFn(net, pattern)
-    LocalTruss.decompose(LocalTruss.themeInduce(within, f), f)
-  }
-
   /** Sorted canonical keys of C*_p(0), i.e. of every edge in L_p. */
   private def edgeKeys(d: Decomposition): Array[Long] = {
     val keys = d.keys.clone()
@@ -222,14 +251,14 @@ object TCTree {
   /** Appends, in pre-order, the subtree below the node with `pattern` and
     * α = 0 truss `keys`, whose later siblings are `later` (ascending item).
     */
-  private def growSubtree(net: CompactNetwork, pattern: Vector[Int], keys: Array[Long], later: Array[Sibling],
+  private def growSubtree(net: CompactNetwork, pattern: Array[Int], keys: Array[Long], later: Array[Sibling],
                           maxDepth: Int, out: mutable.Growable[Row]): Unit = {
-    val children = mutable.ArrayBuffer.empty[(Vector[Int], Decomposition, Sibling)]
+    val children = mutable.ArrayBuffer.empty[(Array[Int], Decomposition, Sibling)]
     for (b <- later) {
       val within = LocalTruss.intersectKeys(keys, b.keys)
       if (within.nonEmpty) {
         val p = pattern :+ b.item
-        val d = computeDecomp(net, p, within.map(LocalTruss.dekey))
+        val d = LocalTruss.decompose(within, net.freq(_, p))
         if (!d.isEmpty) children += ((p, d, Sibling(b.item, edgeKeys(d))))
       }
     }

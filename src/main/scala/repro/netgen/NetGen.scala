@@ -69,6 +69,11 @@ object NetGen {
       pIntra: Double,
       seed: Long,
   ): GenNet = {
+    require(nVertices > 0, s"nVertices must be > 0, got $nVertices")
+    require(nGroups > 0, s"nGroups must be > 0, got $nGroups")
+    require(vocab > 0, s"vocab must be > 0, got $vocab")
+    require(pIntra >= 0.0 && pIntra <= 1.0, s"pIntra must be in [0, 1], got $pIntra")
+    require(extraEdgesPerVertex >= 0.0, s"extraEdgesPerVertex must be >= 0, got $extraEdgesPerVertex")
     val rnd = new Random(seed)
     final case class Group(members: Vector[Int], favourites: Vector[Int])
     val groups = Vector.fill(nGroups) {
@@ -81,6 +86,10 @@ object NetGen {
          if rnd.nextDouble() < pIntra)
       es += ((g.members(i) min g.members(j), g.members(i) max g.members(j)))
     val nExtra = (nVertices * extraEdgesPerVertex).toInt
+    // Extra edges are drawn until that many new ones exist: fail instead of
+    // looping forever when the vertex pairs cannot hold them.
+    require(nExtra <= nVertices.toLong * (nVertices - 1) / 2 - es.size,
+            s"$nExtra extra edges do not fit among $nVertices vertices")
     var added = 0
     while (added < nExtra) {
       val u = rnd.nextInt(nVertices); val v = rnd.nextInt(nVertices)
@@ -131,6 +140,9 @@ object NetGen {
     */
   def aminerLike(nAuthors: Int = 2500, nTopics: Int = 70, vocab: Int = 400,
                  seed: Long = 13): GenNet = {
+    require(nAuthors > 0, s"nAuthors must be > 0, got $nAuthors")
+    require(nTopics > 0, s"nTopics must be > 0, got $nTopics")
+    require(vocab > 0, s"vocab must be > 0, got $vocab")
     val rnd = new Random(seed)
     final case class Topic(keywords: Vector[Int], group: Vector[Int])
     val topics = Vector.fill(nTopics) {
@@ -175,6 +187,10 @@ object NetGen {
     */
   def synLike(nVertices: Int = 4000, mAttach: Int = 5, nSeeds: Int = 50,
               vocab: Int = 300, seed: Long = 17): GenNet = {
+    require(nVertices > 0, s"nVertices must be > 0, got $nVertices")
+    require(mAttach > 0, s"mAttach must be > 0, got $mAttach")
+    require(nSeeds > 0, s"nSeeds must be > 0, got $nSeeds")
+    require(vocab > 0, s"vocab must be > 0, got $vocab")
     val rnd = new Random(seed)
     val es = mutable.LinkedHashSet.empty[(Int, Int)]
     val endpoints = mutable.ArrayBuffer.empty[Int] // degree-weighted sampling pool
@@ -250,6 +266,7 @@ object NetGen {
     * 0..n'−1 with databases and ground truth carried over.
     */
   def bfsSample(net: GenNet, mEdges: Int, seed: Long = 23): GenNet = {
+    require(mEdges >= 0, s"mEdges must be >= 0, got $mEdges")
     if (mEdges >= net.nEdges) return net
     val rnd = new Random(seed)
     val adj = Array.fill(net.n)(mutable.ArrayBuffer.empty[Int])

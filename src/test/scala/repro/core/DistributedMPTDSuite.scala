@@ -63,7 +63,7 @@ class DistributedMPTDSuite extends SparkSpec {
       val fDf = Frequency.frequencies(net, p)
       val theme = Frequency.themeNetwork(net.edges, fDf)
       val got = trussEdges(DistributedMPTD.run(theme, fDf, alpha))
-      val f = MinerOps.freqFn(c, p)
+      val f: Int => Double = c.freq(_, p)
       val expected = LocalTruss.mptd(LocalTruss.themeInduce(g.edges, f), f, alpha).edges.toSet
       assert(got == expected, s"p=$p alpha=$alpha")
     }
@@ -79,7 +79,7 @@ class DistributedMPTDSuite extends SparkSpec {
     val theme = Frequency.themeNetwork(net.edges, fDf)
     val got = DistributedMPTD.run(theme, fDf, 0.0)
       .collect().map(r => (LocalTruss.ekey(r.getInt(0), r.getInt(1)), r.getDouble(2))).toMap
-    val f = MinerOps.freqFn(c, p)
+    val f: Int => Double = c.freq(_, p)
     val expected = LocalTruss.mptd(LocalTruss.themeInduce(c.edgeList, f), f, 0.0)
     assert(got.keySet == expected.cohesion.keySet)
     for ((k, v) <- expected.cohesion) assert(math.abs(got(k) - v) < 1e-9)

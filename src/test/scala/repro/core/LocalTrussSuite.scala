@@ -135,7 +135,7 @@ class LocalTrussSuite extends AnyFunSuite {
     for (_ <- 0 until 20) {
       val g = repro.TestNets.randomNet(rnd)
       val c = g.compact
-      val f = MinerOps.freqFn(c, Vector(0))
+      val f: Int => Double = c.freq(_, Vector(0))
       val t = mptd(themeInduce(g.edges, f), f, 0.1)
       val t2 = mptd(t.edges, f, 0.1)
       assert(t2.edges.toSet == t.edges.toSet)
@@ -265,6 +265,31 @@ class LocalTrussSuite extends AnyFunSuite {
   test("decompose of an empty/triangle-free graph is empty") {
     assert(decompose(Vector.empty[(Int, Int)], one).isEmpty)
     assert(decompose(Vector((0, 1), (1, 2)), one).isEmpty)
+  }
+
+  test("edge adapters ignore orientation, duplicates and self-loops: same result as the key kernel") {
+    val graph = for {
+      seed <- Gen.choose(0L, Long.MaxValue)
+      maxN <- Gen.choose(4, 14)
+    } yield {
+      val rnd = new Random(seed)
+      val g = repro.TestNets.randomNet(rnd, maxN)
+      val f = Array.fill(g.n)(rnd.nextInt(11) / 10.0)
+      // The same edges reversed at random, some twice, plus self-loops, shuffled.
+      val messy = rnd.shuffle(
+        g.edges.map { case (u, v) => if (rnd.nextBoolean()) (v, u) else (u, v) } ++
+          g.edges.filter(_ => rnd.nextInt(3) == 0) ++
+          Vector.fill(rnd.nextInt(4))(rnd.nextInt(g.n)).map(v => (v, v)))
+      (edgeKeys(g.edges), messy, f)
+    }
+    def same(a: Decomposition, b: Decomposition): Boolean =
+      a.thresholds.sameElements(b.thresholds) && a.keys.sameElements(b.keys) && a.offsets.sameElements(b.offsets)
+    val prop = Prop.forAll(graph, Gen.choose(0.0, 2.0)) { case ((keys, messy, fArr), alpha) =>
+      val f: Int => Double = fArr(_)
+      Seq(0.0, alpha).forall(a => mptd(messy, f, a) == mptd(keys, f, a)) && same(decompose(messy, f), decompose(keys, f))
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(300), prop)
+    assert(res.passed, res.status)
   }
 
   // ------------------------------------------------------ connected components

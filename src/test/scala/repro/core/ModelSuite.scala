@@ -1,7 +1,9 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestNets
+import repro.netgen.GenNet
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
 
@@ -25,9 +27,55 @@ class ModelSuite extends AnyFunSuite {
     }
     val net = TestNets.smallPlanted().compact
     val p = Vector(net.items.head)
-    val before = (net.edgeList.toVector, net.items.toVector, net.freqAll(p).toVector)
+    def derived(n: CompactNetwork) =
+      (n.edgeList.toVector, n.items.toVector, n.freqAll(p).toVector,
+       n.support(p.head).toVector, n.themeKeys(p.toArray).toVector)
+    val before = derived(net)
     assert(bytes(net).length == bytes(TestNets.smallPlanted().compact).length)
     val copy = new ObjectInputStream(new ByteArrayInputStream(bytes(net))).readObject().asInstanceOf[CompactNetwork]
-    assert((copy.edgeList.toVector, copy.items.toVector, copy.freqAll(p).toVector) == before)
+    assert(derived(copy) == before)
+  }
+
+  /** Theme induction as it reads on paper: every edge of the network whose
+    * two endpoints have f_v(p) > 0.
+    */
+  private def inducedKeys(net: CompactNetwork, p: Vector[Int]): Vector[Long] =
+    LocalTruss.edgeKeys(LocalTruss.themeInduce(net.edgeList, net.freq(_, p))).toVector
+
+  /** A random net over items 0 until 6 in which about a quarter of the
+    * vertices have an empty database.
+    */
+  private def sparseDbNet(seed: Long): CompactNetwork = {
+    val rnd = new scala.util.Random(seed)
+    val g = TestNets.randomNet(rnd, maxN = 14, vocab = 6)
+    GenNet(g.n, g.edges, g.txs.map(t => if (rnd.nextInt(4) == 0) Vector.empty else t)).compact
+  }
+
+  test("themeKeys equals theme induction from the whole edge list") {
+    // Items -1 and 6..8 are outside S; p = ∅ and patterns of up to 3 items.
+    val pattern = Gen.choose(0, 3).flatMap(Gen.listOfN(_, Gen.choose(-1, 8))).map(_.distinct.sorted.toVector)
+    val prop = Prop.forAll(Gen.choose(0L, Long.MaxValue), pattern) { (seed, p) =>
+      val net = sparseDbNet(seed)
+      val keys = net.themeKeys(p.toArray).toVector
+      keys == inducedKeys(net, p) && keys == keys.sorted && keys.distinct == keys
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(500), prop)
+    assert(res.passed, res.status)
+  }
+
+  test("themeKeys: empty pattern, items outside S and empty databases") {
+    val net = GenNet(4, Vector((0, 1), (0, 2), (1, 2), (2, 3)),
+                     Vector(Vector(Vector(0)), Vector(Vector(0, 1)), Vector.empty, Vector(Vector(1)))).compact
+    // p = ∅ follows freq: every vertex with a non-empty database, so not 2.
+    assert(net.themeKeys(Array.emptyIntArray).toVector == Vector(LocalTruss.ekey(0, 1)))
+    assert(net.themeKeys(Array(0)).toVector == Vector(LocalTruss.ekey(0, 1)))
+    assert(net.themeKeys(Array(0, 1)).isEmpty && net.themeKeys(Array(1)).isEmpty)
+    for (p <- Seq(Vector(7), Vector(-1), Vector(0, 7))) {
+      assert(net.support(p.last).isEmpty)
+      assert(net.themeKeys(p.toArray).isEmpty)
+    }
+    for (p <- Seq(Vector.empty[Int], Vector(0), Vector(1), Vector(0, 1), Vector(7)))
+      assert(net.themeKeys(p.toArray).toVector == inducedKeys(net, p))
+    assert(net.support(0).toVector == Vector(0, 1) && net.support(1).toVector == Vector(1, 3))
   }
 }

@@ -52,8 +52,8 @@ class TheorySuite extends SparkSpec {
         val extra = items(rnd.nextInt(items.length))
         val p2 = Pattern(p1 :+ extra)
         val alpha = rnd.nextInt(3) * 0.2
-        val f1 = MinerOps.freqFn(c, p1)
-        val f2 = MinerOps.freqFn(c, p2)
+        val f1: Int => Double = c.freq(_, p1)
+        val f2: Int => Double = c.freq(_, p2)
         val t1 = LocalTruss.mptd(LocalTruss.themeInduce(g.edges, f1), f1, alpha)
         val t2 = LocalTruss.mptd(LocalTruss.themeInduce(g.edges, f2), f2, alpha)
         assert(t2.edges.toSet.subsetOf(t1.edges.toSet), s"p1=$p1 p2=$p2 alpha=$alpha")
@@ -71,8 +71,8 @@ class TheorySuite extends SparkSpec {
         val p1 = Vector(items(0))
         val p2 = Pattern(Vector(items(0), items(items.length - 1)))
         val alpha = 0.3
-        val f1 = MinerOps.freqFn(c, p1)
-        val f2 = MinerOps.freqFn(c, p2)
+        val f1: Int => Double = c.freq(_, p1)
+        val f2: Int => Double = c.freq(_, p2)
         val t1 = LocalTruss.mptd(LocalTruss.themeInduce(g.edges, f1), f1, alpha)
         val t2 = LocalTruss.mptd(LocalTruss.themeInduce(g.edges, f2), f2, alpha)
         if (t1.isEmpty) assert(t2.isEmpty)
@@ -97,7 +97,7 @@ class TheorySuite extends SparkSpec {
     // K5: pattern truss at alpha = 2 (k = 5); every vertex degree >= 4 = k-1.
     val g = TestNets.k5AllOnes
     val c = g.compact
-    val f = MinerOps.freqFn(c, Vector(0))
+    val f: Int => Double = c.freq(_, Vector(0))
     val t = LocalTruss.mptd(g.edges, f, 2.0)
     val degs = t.edges.flatMap(e => Seq(e._1, e._2)).groupBy(identity).view.mapValues(_.size)
     assert(degs.values.forall(_ >= 4))

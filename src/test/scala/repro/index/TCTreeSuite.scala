@@ -23,7 +23,7 @@ class TCTreeSuite extends SparkSpec {
     */
   private def breadthFirstTree(net: CompactNetwork, maxDepth: Int): TCNode = {
     def decompose(p: Vector[Int], within: Iterable[(Int, Int)]): Decomposition = {
-      val f = MinerOps.freqFn(net, p)
+      val f: Int => Double = net.freq(_, p)
       LocalTruss.decompose(LocalTruss.themeInduce(within, f), f)
     }
     val root = new TCNode(-1, Vector.empty, Decomposition.empty)
@@ -64,7 +64,7 @@ class TCTreeSuite extends SparkSpec {
   test("triangle net: stored decompositions match direct decomposition") {
     val c = TestNets.triangleNet.compact
     for (node <- triTree.nodes) {
-      val f = MinerOps.freqFn(c, node.pattern)
+      val f: Int => Double = c.freq(_, node.pattern)
       val direct = LocalTruss.decompose(LocalTruss.themeInduce(c.edgeList, f), f)
       assert(node.decomp.nodes.map(_._1) == direct.nodes.map(_._1))
       assert(node.decomp.nodes.map(_._2.toSet) == direct.nodes.map(_._2.toSet))
@@ -212,6 +212,11 @@ class TCTreeSuite extends SparkSpec {
   }
 
   test("build equals a breadth-first Algorithm 4 node for node, at every depth cap") {
+    // Build tasks take contiguous ranges of layer-1 subtrees. With more
+    // subtrees than ranges, some range grows several of them in a row.
+    val ranges = spark.sparkContext.defaultParallelism * Levelwise.RangesPerCore
+    val subtrees = bkTree.root.children.length - 1 // the last layer-1 node has no later sibling
+    assert(subtrees > ranges, s"bkLike has $subtrees layer-1 subtrees for $ranges ranges")
     val nets = Seq("planted" -> plantedCompact, "bkLike" -> bkCompact)
     for ((name, net) <- nets; maxDepth <- Seq(1, 2, 3, Int.MaxValue)) {
       val ctx = s"$name maxDepth=$maxDepth"
@@ -244,7 +249,7 @@ class TCTreeSuite extends SparkSpec {
     val edges = Vector.newBuilder[(Int, Int)]
     val freqs = Vector.newBuilder[(Int, Double)]
     val expected = for (((node, beta, base), i) <- cases.zipWithIndex) yield {
-      val f = MinerOps.freqFn(plantedCompact, node.pattern)
+      val f: Int => Double = plantedCompact.freq(_, node.pattern)
       val fromTree = node.trussAt(beta).toSet
       val direct = LocalTruss.mptd(LocalTruss.themeInduce(plantedCompact.edgeList, f), f, beta)
       assert(direct.edges.toSet == fromTree, s"${Pattern.key(node.pattern)} beta=$beta")

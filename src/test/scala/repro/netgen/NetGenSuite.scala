@@ -147,4 +147,31 @@ class NetGenSuite extends SparkSpec {
     assert(s.nEdges == g.nEdges)
     assert(s.nItemsUnique == g.txs.flatMap(_.flatten).distinct.size)
   }
+
+  test("generators reject non-positive size arguments") {
+    for (bad <- Seq(0, -1, Int.MinValue)) {
+      intercept[IllegalArgumentException](NetGen.checkinLike(bad, 4, 20, 1.0, 0.5, seed = 1))
+      intercept[IllegalArgumentException](NetGen.checkinLike(50, bad, 20, 1.0, 0.5, seed = 1))
+      intercept[IllegalArgumentException](NetGen.checkinLike(50, 4, bad, 1.0, 0.5, seed = 1))
+      intercept[IllegalArgumentException](NetGen.bkLike(bad))
+      intercept[IllegalArgumentException](NetGen.gwLike(bad))
+      intercept[IllegalArgumentException](NetGen.aminerLike(nAuthors = bad))
+      intercept[IllegalArgumentException](NetGen.aminerLike(nTopics = bad))
+      intercept[IllegalArgumentException](NetGen.aminerLike(vocab = bad))
+      intercept[IllegalArgumentException](NetGen.synLike(nVertices = bad))
+      intercept[IllegalArgumentException](NetGen.synLike(mAttach = bad))
+      intercept[IllegalArgumentException](NetGen.synLike(nSeeds = bad))
+      intercept[IllegalArgumentException](NetGen.synLike(vocab = bad))
+    }
+    intercept[IllegalArgumentException](NetGen.bfsSample(NetGen.bkLike(100, seed = 1), -1))
+  }
+
+  test("checkinLike rejects edge densities it cannot draw instead of looping") {
+    intercept[IllegalArgumentException](NetGen.checkinLike(50, 4, 20, -0.5, 0.5, seed = 1))
+    intercept[IllegalArgumentException](NetGen.checkinLike(50, 4, 20, 1.0, 1.5, seed = 1))
+    intercept[IllegalArgumentException](NetGen.checkinLike(50, 4, 20, 1.0, Double.NaN, seed = 1))
+    // 10 vertices hold 45 pairs: 50 extra edges cannot fit, 20 can.
+    intercept[IllegalArgumentException](NetGen.checkinLike(10, 1, 20, 5.0, 0.5, seed = 1))
+    assert(NetGen.checkinLike(10, 1, 20, 2.0, 0.0, seed = 1).nEdges == 20)
+  }
 }
