@@ -10,13 +10,16 @@ import scala.reflect.ClassTag
   * `mptdCalls` is the number of MPTD invocations (Figure 3 discussion),
   * `candidates` the number of candidate patterns examined, and
   * `prunedByIntersection` the TCFI candidates discarded because the parent
-  * trusses' intersection was empty (no MPTD run).
+  * trusses' intersection was empty (no MPTD run). `truncated` says that the
+  * length cap `maxLen` stopped the enumeration while longer patterns could
+  * still qualify, so the result may lack some of them.
   */
 final case class MinerStats(
     mptdCalls: Long,
     candidates: Long,
     prunedByIntersection: Long,
     timeMs: Long,
+    truncated: Boolean = false,
 )
 
 /** Result of a miner run: every non-empty maximal pattern truss keyed by its
@@ -75,7 +78,9 @@ private[repro] object MinerOps {
   * vertex database, every pattern with frequency > ε (distributed over
   * vertices), then runs MPTD on each candidate's theme network (distributed
   * over patterns). Trades accuracy for speed: a pattern below ε on every
-  * vertex is never examined even if it forms a dense truss.
+  * vertex is never examined even if it forms a dense truss. The result is
+  * flagged `truncated` when a candidate has `maxLen` items, since the
+  * per-vertex enumeration stopped there.
   */
 object TCS {
   def run(spark: SparkSession, net: CompactNetwork, alpha: Double, eps: Double,
@@ -95,16 +100,21 @@ object TCS {
       .collect()
     val found = sc
       .parallelize(candidates.toIndexedSeq, MinerOps.slices(spark, candidates.length))
-      .map { p =>
+      .mapPartitions { ps =>
         val n = bc.value
-        val pa = p.toArray
-        (p, LocalTruss.mptd(n.themeKeys(pa), n.freq(_, pa), alpha))
+        val ws = new Workspace
+        ps.map { p =>
+          val pa = p.toArray
+          val keys = n.themeKeys(pa, ws)
+          (p, LocalTruss.mptd(keys, keys.length, n.freq(_, pa, ws), alpha, ws))
+        }
       }
       .filter(!_._2.isEmpty)
       .collect()
     bc.destroy()
     val ms = (System.nanoTime() - t0) / 1000000
-    MiningResult(found.toMap, MinerStats(candidates.length.toLong, candidates.length.toLong, 0L, ms))
+    MiningResult(found.toMap, MinerStats(candidates.length.toLong, candidates.length.toLong, 0L, ms,
+                                         truncated = candidates.exists(_.length >= maxLen)))
   }
 }
 
@@ -215,35 +225,40 @@ private[repro] object Levelwise {
   }
 
   /** Runs `task(net, shared, from, until)` over contiguous ranges of units
-    * and returns the results in range order.
+    * and returns the results in range order. `TCTree.build` runs its two
+    * jobs on the same executors. A task that calls the kernels creates its
+    * own `Workspace`.
     */
   trait Exec {
-    /** How many ranges a level is cut into. */
+    /** How many ranges a job is cut into. */
     def slots: Int
-    def apply[S: ClassTag](shared: S, ranges: Seq[(Int, Int)])(task: (CompactNetwork, S, Int, Int) => Rows): Seq[Rows]
+    def apply[S: ClassTag, R: ClassTag](shared: S, ranges: Seq[(Int, Int)])(task: (CompactNetwork, S, Int, Int) => R): Seq[R]
   }
 
   /** One Spark job per call, one task per range; the network and `shared`
     * reach the tasks as broadcasts.
     */
-  private final class SparkExec(spark: SparkSession, net: CompactNetwork) extends Exec {
+  final class SparkExec(spark: SparkSession, net: CompactNetwork) extends Exec {
     private val sc = spark.sparkContext
     private val bcNet = sc.broadcast(net)
     val slots: Int = sc.defaultParallelism * RangesPerCore
 
-    def apply[S: ClassTag](shared: S, ranges: Seq[(Int, Int)])(task: (CompactNetwork, S, Int, Int) => Rows): Seq[Rows] = {
-      val n = bcNet
-      val b = sc.broadcast(shared)
-      try sc.parallelize(ranges, ranges.length).map { case (from, until) => task(n.value, b.value, from, until) }.collect().toSeq
-      finally b.destroy()
-    }
+    def apply[S: ClassTag, R: ClassTag](shared: S, ranges: Seq[(Int, Int)])(task: (CompactNetwork, S, Int, Int) => R): Seq[R] =
+      if (ranges.isEmpty) Nil
+      else {
+        val n = bcNet
+        val b = sc.broadcast(shared)
+        try sc.parallelize(ranges, ranges.length).map { case (from, until) => task(n.value, b.value, from, until) }.collect().toSeq
+        finally b.destroy()
+      }
 
     def close(): Unit = bcNet.destroy()
   }
 
-  private final class SerialExec(net: CompactNetwork) extends Exec {
+  /** A plain loop in place of each Spark job: one range per job, on the calling thread. */
+  final class SerialExec(net: CompactNetwork) extends Exec {
     val slots: Int = 1
-    def apply[S: ClassTag](shared: S, ranges: Seq[(Int, Int)])(task: (CompactNetwork, S, Int, Int) => Rows): Seq[Rows] =
+    def apply[S: ClassTag, R: ClassTag](shared: S, ranges: Seq[(Int, Int)])(task: (CompactNetwork, S, Int, Int) => R): Seq[R] =
       ranges.map { case (from, until) => task(net, shared, from, until) }
   }
 
@@ -272,8 +287,7 @@ private[repro] object Levelwise {
     // the rows come back in unit order and are kept as one level.
     def runLevel[S: ClassTag](k: Int, shared: S, weights: Array[Long])
                              (task: (CompactNetwork, S, Int, Int) => Rows): Rows = {
-      val ranges = cut(weights, exec.slots)
-      val level = Rows.concat(k, if (ranges.isEmpty) Nil else exec(shared, ranges)(task))
+      val level = Rows.concat(k, exec(shared, cut(weights, exec.slots))(task))
       levels += level
       level
     }
@@ -290,17 +304,26 @@ private[repro] object Levelwise {
       }
       k += 1
     }
+    // Stopped by the cap: level maxLen + 1 would have had candidates.
+    val truncated = level.size > 0 && (0 until level.size).exists { r =>
+      var any = false
+      level.patterns.join(r)((_, _) => any = true)
+      any
+    }
     val ms = (System.nanoTime() - t0) / 1000000
     MiningResult(new TrussMap(levels.toVector),
-                 MinerStats(levels.map(_.mptdCalls).sum, levels.map(_.candidates).sum, levels.map(_.pruned).sum, ms))
+                 MinerStats(levels.map(_.mptdCalls).sum, levels.map(_.candidates).sum, levels.map(_.pruned).sum, ms,
+                            truncated))
   }
 
   /** Level-1 task: MPTD on the theme network of each item `items(from until until)`. */
   private def seed(net: CompactNetwork, items: Array[Int], from: Int, until: Int, alpha: Double): Rows = {
     val out = new RowsBuilder(1)
+    val ws = new Workspace
     for (i <- from until until) {
       val p = Array(items(i))
-      out.detect(net, p, net.themeKeys(p), alpha)
+      val keys = net.themeKeys(p, ws)
+      out.detect(net, p, keys, keys.length, alpha, ws)
     }
     out.result()
   }
@@ -309,16 +332,20 @@ private[repro] object Levelwise {
     * against its later class mates, then MPTD on each candidate's theme
     * network — induced from the full network (TCFA) or from the linear-merge
     * intersection of the two parents' trusses, skipped when empty (TCFI).
+    * The intersection is written to the task's workspace.
     */
   private def grow(net: CompactNetwork, ps: Parents, from: Int, until: Int, alpha: Double,
                    useIntersection: Boolean): Rows = {
     val out = new RowsBuilder(ps.patterns.width + 1)
+    val ws = new Workspace
     for (r <- from until until) ps.patterns.join(r) { (s, c) =>
-      if (!useIntersection) out.detect(net, c, net.themeKeys(c), alpha)
-      else {
-        val within = LocalTruss.intersectKeys(ps.keys, ps.from(r), ps.ends(r), ps.keys, ps.from(s), ps.ends(s))
-        if (within.isEmpty) out.prune()
-        else out.detect(net, c, within, alpha)
+      if (!useIntersection) {
+        val keys = net.themeKeys(c, ws)
+        out.detect(net, c, keys, keys.length, alpha, ws)
+      } else {
+        val n = ws.intersect(ps.keys, ps.from(r), ps.ends(r), ps.keys, ps.from(s), ps.ends(s))
+        if (n == 0) out.prune()
+        else out.detect(net, c, ws.intersection, n, alpha, ws)
       }
     }
     out.result()
@@ -334,10 +361,10 @@ private[repro] object Levelwise {
     private var mptdCalls = 0L
     private var pruned = 0L
 
-    /** MPTD on the theme network of `c` within the edges keyed by `within`. */
-    def detect(net: CompactNetwork, c: Array[Int], within: Array[Long], alpha: Double): Unit = {
+    /** MPTD on the theme network of `c` within the edges keyed by `within(0 until n)`. */
+    def detect(net: CompactNetwork, c: Array[Int], within: Array[Long], n: Int, alpha: Double, ws: Workspace): Unit = {
       candidates += 1; mptdCalls += 1
-      val t = LocalTruss.mptd(within, net.freq(_, c), alpha)
+      val t = LocalTruss.mptd(within, n, net.freq(_, c, ws), alpha, ws)
       if (!t.isEmpty) {
         patterns ++= c; keys ++= t.keys; cohesions ++= t.cohesions
         nKeys += t.nEdges; ends += nKeys

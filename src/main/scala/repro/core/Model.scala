@@ -143,35 +143,49 @@ final case class CompactNetwork(
   /** Frequency f_v(p): fraction of v's transactions containing pattern p.
     * f_v(∅) = 1 when v has at least one transaction (every transaction
     * contains the empty pattern), 0 for a vertex with an empty database.
+    * One item is a lookup and two are a count-only merge; from three on,
+    * the other lists are intersected into a copy of the shortest one in
+    * `ws`'s buffers. Nothing is allocated.
     */
-  def freq(v: Int, p: Array[Int]): Double = {
+  def freq(v: Int, p: Array[Int], ws: Workspace): Double = {
     val nTx = txs(v).length
     if (nTx == 0) return 0.0
     if (p.isEmpty) return 1.0
     val its = txItems(v)
-    val lists = new Array[Array[Int]](p.length)
-    var shortest = 0
+    val lists = txLists(v)
+    if (p.length == 1) {
+      val i = java.util.Arrays.binarySearch(its, p(0))
+      return if (i < 0) 0.0 else lists(i).length.toDouble / nTx
+    }
+    if (p.length == 2) {
+      val i = java.util.Arrays.binarySearch(its, p(0))
+      val j = java.util.Arrays.binarySearch(its, p(1))
+      return if (i < 0 || j < 0) 0.0 else countCommon(lists(i), lists(j)).toDouble / nTx
+    }
+    val idx = ws.itemBuffer(p.length)
+    var shortest = -1
     var k = 0
     while (k < p.length) {
       val i = java.util.Arrays.binarySearch(its, p(k))
       if (i < 0) return 0.0
-      lists(k) = txLists(v)(i)
-      if (lists(k).length < lists(shortest).length) shortest = k
+      idx(k) = i
+      if (shortest < 0 || lists(i).length < lists(shortest).length) shortest = i
       k += 1
     }
-    if (p.length == 1) return lists(0).length.toDouble / nTx
-    // Intersect the other lists into a copy of the shortest one, in place.
-    val acc = lists(shortest).clone()
-    var size = acc.length
+    var size = lists(shortest).length
+    val acc = ws.txBuffer(size)
+    System.arraycopy(lists(shortest), 0, acc, 0, size)
     k = 0
     while (k < p.length && size > 0) {
-      if (k != shortest) {
-        val l = lists(k)
-        var i = 0; var j = 0; var out = 0
-        while (i < size && j < l.length) {
-          if (acc(i) == l(j)) { acc(out) = acc(i); out += 1; i += 1; j += 1 }
-          else if (acc(i) < l(j)) i += 1
-          else j += 1
+      val i = idx(k)
+      if (i != shortest) {
+        val l = lists(i)
+        var a = 0; var b = 0; var out = 0
+        while (a < size && b < l.length) {
+          val x = acc(a); val y = l(b)
+          if (x == y) { acc(out) = x; out += 1 }
+          if (x <= y) a += 1
+          if (y <= x) b += 1
         }
         size = out
       }
@@ -180,30 +194,64 @@ final case class CompactNetwork(
     size.toDouble / nTx
   }
 
+  /** How many values two ascending arrays share. */
+  private def countCommon(a: Array[Int], b: Array[Int]): Int = {
+    var i = 0; var j = 0; var n = 0
+    while (i < a.length && j < b.length) {
+      val x = a(i); val y = b(j)
+      if (x == y) n += 1
+      if (x <= y) i += 1
+      if (y <= x) j += 1
+    }
+    n
+  }
+
+  /** `freq` with a fresh workspace. */
+  def freq(v: Int, p: Array[Int]): Double = freq(v, p, new Workspace)
+
   def freq(v: Int, p: Vector[Int]): Double = freq(v, p.toArray)
 
   /** Frequencies of p on every vertex, as a dense array. */
   def freqAll(p: Vector[Int]): Array[Double] = {
     val pa = p.toArray
-    Array.tabulate(n)(freq(_, pa))
+    val ws = new Workspace
+    Array.tabulate(n)(freq(_, pa, ws))
   }
 
   /** The theme network G_p as the ascending canonical keys
     * (`LocalTruss.ekey`) of the edges whose endpoints both have
     * f_v(p) > 0. The candidate vertices are the support of p's rarest item
     * (for p = ∅, every vertex with a non-empty database), so the work is
-    * bounded by their degrees, not by the size of the network.
+    * bounded by their degrees, not by the size of the network. Frequencies
+    * and vertex marks use `ws`.
     */
-  def themeKeys(p: Array[Int]): Array[Long] = {
+  def themeKeys(p: Array[Int], ws: Workspace): Array[Long] = {
     val kept =
       if (p.isEmpty) Array.range(0, n).filter(txs(_).nonEmpty)
       else {
         val rarest = p.iterator.map(support).minBy(_.length)
-        if (p.length == 1) rarest else rarest.filter(freq(_, p) > 0.0)
+        if (p.length == 1) rarest else rarest.filter(freq(_, p, ws) > 0.0)
       }
+    // Kept vertices are marked in the workspace's vertex map, then unmarked.
+    val mark = ws.vertexMap(n)
+    for (u <- kept) mark(u) = 0
     val out = new mutable.ArrayBuilder.ofLong
-    for (u <- kept; v <- adj(u) if v > u && java.util.Arrays.binarySearch(kept, v) >= 0)
-      out += LocalTruss.ekey(u, v)
+    var i = 0
+    while (i < kept.length) {
+      val u = kept(i)
+      val nbrs = adj(u)
+      var j = 0
+      while (j < nbrs.length) {
+        val v = nbrs(j)
+        if (v > u && mark(v) == 0) out += LocalTruss.ekey(u, v)
+        j += 1
+      }
+      i += 1
+    }
+    for (u <- kept) mark(u) = -1
     out.result()
   }
+
+  /** `themeKeys` with a fresh workspace. */
+  def themeKeys(p: Array[Int]): Array[Long] = themeKeys(p, new Workspace)
 }

@@ -208,11 +208,13 @@ object Experiments {
     * communities, and render the largest ones with keyword/author names
     * (paper Table 4 + Figure 6). Several nested sub-patterns share one
     * member set; we keep the longest (most specific) pattern per distinct
-    * member set, as the paper's Table 4 lists distinct communities.
+    * member set, as the paper's Table 4 lists distinct communities. No
+    * length cap: the longest pattern is the one kept, so a cap could
+    * silently replace it with a sub-pattern.
     */
   def caseStudy(spark: SparkSession, net: GenNet, alpha: Double = 0.3,
                 minPatternLen: Int = 2, top: Int = 10): Seq[CaseCommunity] = {
-    val result = TCFI.run(spark, net.compact, alpha)
+    val result = TCFI.run(spark, net.compact, alpha, maxLen = Int.MaxValue)
     result.communities
       .filter(_._1.length >= minPatternLen)
       .groupBy(_._2)

@@ -144,8 +144,9 @@ object TCTree {
   /** Algorithm 4: build the TC-Tree of a database network.
     *
     * Layer 1 (single items) is embarrassingly parallel — the paper uses
-    * OpenMP threads; we distribute the items over Spark tasks with the
-    * compact network broadcast. Every deeper node lies in the subtree of
+    * OpenMP threads; we cut the items into a few contiguous ranges per
+    * core and run one Spark task per range, with the compact network
+    * broadcast. Every deeper node lies in the subtree of
     * one layer-1 node n_i and is built only from nodes of that subtree and
     * from n_i's later siblings: a sibling pair (n_f, n_b) with
     * s_{n_f} ≺ s_{n_b} yields child pattern p_f ∪ p_b whose truss is
@@ -160,75 +161,103 @@ object TCTree {
     * Every theme network is peeled by the primitive kernel
     * (`LocalTruss.decompose` on edge keys): layer 1's are induced from the
     * supports of the items (`CompactNetwork.themeKeys`), deeper ones are
-    * the sibling intersections themselves. The tasks return their nodes in
-    * pre-order; the driver only attaches them.
+    * the sibling intersections themselves. Each task runs every
+    * intersection, decomposition and frequency in one `Workspace` of its
+    * own. The tasks return their nodes in pre-order; the driver only
+    * attaches them.
     *
     * @param maxDepth safety cap on pattern length (the enumeration
     *                 terminates on its own when decompositions are empty).
     */
   def build(spark: SparkSession, net: CompactNetwork, maxDepth: Int = Int.MaxValue): TCTree = {
     require(maxDepth >= 1, s"maxDepth must be >= 1, got $maxDepth")
-    val sc = spark.sparkContext
-    val bc = sc.broadcast(net)
+    val exec = new Levelwise.SparkExec(spark, net)
+    try build(exec, net, maxDepth)
+    finally exec.close()
+  }
+
+  /** `build` with a plain loop in place of each Spark job: the same
+    * layer-1 and subtree workers, one range per job, on the calling thread.
+    */
+  def serial(net: CompactNetwork, maxDepth: Int = Int.MaxValue): TCTree = {
+    require(maxDepth >= 1, s"maxDepth must be >= 1, got $maxDepth")
+    build(new Levelwise.SerialExec(net), net, maxDepth)
+  }
+
+  private def build(exec: Levelwise.Exec, net: CompactNetwork, maxDepth: Int): TCTree = {
     val root = new TCNode(-1, Vector.empty, Decomposition.empty)
 
-    // Layer 1: every item of S in parallel (Algorithm 4 lines 2-5).
-    val layer1 = sc
-      .parallelize(net.items.toIndexedSeq, MinerOps.slices(spark, net.items.length))
-      .flatMap { s =>
-        val n = bc.value
-        val p = Array(s)
-        val d = LocalTruss.decompose(n.themeKeys(p), n.freq(_, p))
-        if (d.isEmpty) None else Some(Row(1, s, d))
-      }
-      .collect()
-      .sortBy(_.item)
+    // Layer 1: every item of S (Algorithm 4 lines 2-5).
+    val items = net.items
+    val layer1 = exec(items, Levelwise.cut(Array.fill(items.length)(1L), exec.slots))(layer1Rows)
+      .flatten
       .map(r => new TCNode(r.item, Vector(r.item), r.decomp))
+      .toArray
     root.children ++= layer1
 
     // Deeper layers (Algorithm 4 lines 6-12): one task per range of
     // layer-1 subtrees. The last node has no later sibling, hence no subtree.
     if (maxDepth > 1 && layer1.length > 1) {
-      val sibs = sc.broadcast(layer1.map(n => Sibling(n.item, edgeKeys(n.decomp))))
+      val sibs = layer1.map(n => Sibling(n.item, edgeKeys(n.decomp)))
       val weights = Array.tabulate(layer1.length)(i => (layer1.length - 1 - i).toLong)
-      val ranges = Levelwise.cut(weights, sc.defaultParallelism * Levelwise.RangesPerCore)
-      val subtrees = sc
-        .parallelize(ranges, ranges.length)
-        .map { case (from, until) =>
-          val ss = sibs.value
-          Array.tabulate(until - from) { k =>
-            val i = from + k
-            val out = Array.newBuilder[Row]
-            growSubtree(bc.value, Array(ss(i).item), ss(i).keys, ss.drop(i + 1), maxDepth, out)
-            out.result()
-          }
+      val subtrees = exec(sibs, Levelwise.cut(weights, exec.slots)) { (n, ss, from, until) =>
+        val ws = new Workspace
+        Array.tabulate(until - from) { k =>
+          val i = from + k
+          val out = Array.newBuilder[Row]
+          growSubtree(n, Array(ss(i).item), ss(i).keys, ss, i + 1, maxDepth, ws, out)
+          out.result()
         }
-        .collect()
-        .flatten
-      sibs.destroy()
-      // Each subtree's rows are in pre-order, so a row's parent is the last
-      // row one level up. Nodes are then created depth by depth: that is
-      // the breadth-first order in which Algorithm 5 walks them, so the
-      // tree is laid out in memory the way queries read it.
-      val rows = mutable.ArrayBuffer.empty[(Row, Int)] // (row, index of its parent in `nodes`)
-      for ((subtree, i) <- subtrees.iterator.zipWithIndex) {
-        val path = mutable.ArrayBuffer(-1, i)
-        for (r <- subtree) {
-          path.dropRightInPlace(path.length - r.depth)
-          rows += ((r, path.last))
-          path += layer1.length + rows.length - 1
-        }
-      }
-      val nodes = layer1 ++ new Array[TCNode](rows.length)
-      for (k <- rows.indices.sortBy(rows(_)._1.depth)) { // stable: pre-order within a depth
-        val (r, p) = rows(k)
-        val node = new TCNode(r.item, nodes(p).pattern :+ r.item, r.decomp)
-        nodes(p).children += node
-        nodes(layer1.length + k) = node
+      }.flatten
+      attach(layer1, subtrees)
+    }
+    new TCTree(root)
+  }
+
+  /** Layer-1 task: the decomposition of each item `items(from until until)`'s theme network. */
+  private def layer1Rows(net: CompactNetwork, items: Array[Int], from: Int, until: Int): Array[Row] = {
+    val ws = new Workspace
+    val out = Array.newBuilder[Row]
+    for (i <- from until until) {
+      val p = Array(items(i))
+      val keys = net.themeKeys(p, ws)
+      val d = LocalTruss.decompose(keys, keys.length, net.freq(_, p, ws), ws)
+      if (!d.isEmpty) out += Row(1, items(i), d)
+    }
+    out.result()
+  }
+
+  /** Attaches the rows of each layer-1 subtree, given in pre-order, below
+    * `layer1`. A row's parent is the last row one level up. Nodes are
+    * created depth by depth, in pre-order within a depth (a stable counting
+    * sort on depth): that is the breadth-first order in which Algorithm 5
+    * walks them, so the tree is laid out in memory the way queries read it.
+    */
+  private def attach(layer1: Array[TCNode], subtrees: Seq[Array[Row]]): Unit = {
+    val rows = subtrees.iterator.flatten.toArray
+    val maxDepth = rows.iterator.map(_.depth).maxOption.getOrElse(1)
+    val parent = new Array[Int](rows.length) // index in `nodes`: layer1, then rows
+    val path = new Array[Int](maxDepth + 1)  // path(d): the last node seen at depth d
+    var k = 0
+    for ((subtree, i) <- subtrees.iterator.zipWithIndex) {
+      path(1) = i
+      for (r <- subtree) {
+        parent(k) = path(r.depth - 1)
+        path(r.depth) = layer1.length + k
+        k += 1
       }
     }
-    bc.destroy()
-    new TCTree(root)
+    val start = new Array[Int](maxDepth + 2)
+    for (r <- rows) start(r.depth + 1) += 1
+    for (d <- 1 until start.length) start(d) += start(d - 1)
+    val order = new Array[Int](rows.length)
+    for (k <- rows.indices) { order(start(rows(k).depth)) = k; start(rows(k).depth) += 1 }
+    val nodes = layer1 ++ new Array[TCNode](rows.length)
+    for (k <- order) {
+      val node = new TCNode(rows(k).item, nodes(parent(k)).pattern :+ rows(k).item, rows(k).decomp)
+      nodes(parent(k)).children += node
+      nodes(layer1.length + k) = node
+    }
   }
 
   /** A node as seen by its siblings while its subtree is grown: its item and
@@ -249,23 +278,27 @@ object TCTree {
   }
 
   /** Appends, in pre-order, the subtree below the node with `pattern` and
-    * α = 0 truss `keys`, whose later siblings are `later` (ascending item).
+    * α = 0 truss `keys`, whose later siblings are `sibs(from until)`
+    * (ascending item). Every intersection, decomposition and frequency
+    * runs in `ws`.
     */
-  private def growSubtree(net: CompactNetwork, pattern: Array[Int], keys: Array[Long], later: Array[Sibling],
-                          maxDepth: Int, out: mutable.Growable[Row]): Unit = {
+  private def growSubtree(net: CompactNetwork, pattern: Array[Int], keys: Array[Long], sibs: Array[Sibling],
+                          from: Int, maxDepth: Int, ws: Workspace, out: mutable.Growable[Row]): Unit = {
     val children = mutable.ArrayBuffer.empty[(Array[Int], Decomposition, Sibling)]
-    for (b <- later) {
-      val within = LocalTruss.intersectKeys(keys, b.keys)
-      if (within.nonEmpty) {
-        val p = pattern :+ b.item
-        val d = LocalTruss.decompose(within, net.freq(_, p))
+    for (j <- from until sibs.length) {
+      val b = sibs(j)
+      val n = ws.intersect(keys, 0, keys.length, b.keys, 0, b.keys.length)
+      if (n > 0) {
+        val p = java.util.Arrays.copyOf(pattern, pattern.length + 1)
+        p(pattern.length) = b.item
+        val d = LocalTruss.decompose(ws.intersection, n, net.freq(_, p, ws), ws)
         if (!d.isEmpty) children += ((p, d, Sibling(b.item, edgeKeys(d))))
       }
     }
-    val sibs = children.map(_._3).toArray
+    val next = children.map(_._3).toArray
     for (((p, d, c), k) <- children.iterator.zipWithIndex) {
       out += Row(p.length, c.item, d)
-      if (p.length < maxDepth) growSubtree(net, p, c.keys, sibs.drop(k + 1), maxDepth, out)
+      if (p.length < maxDepth) growSubtree(net, p, c.keys, next, k + 1, maxDepth, ws, out)
     }
   }
 }

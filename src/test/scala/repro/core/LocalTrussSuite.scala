@@ -292,6 +292,68 @@ class LocalTrussSuite extends AnyFunSuite {
     assert(res.passed, res.status)
   }
 
+  // --------------------------------------------------------------- workspace
+
+  private def sameDecomposition(a: Decomposition, b: Decomposition): Boolean =
+    java.util.Arrays.equals(a.thresholds, b.thresholds) && java.util.Arrays.equals(a.keys, b.keys) &&
+      java.util.Arrays.equals(a.offsets, b.offsets)
+
+  test("one workspace reused across calls gives bit-equal results to a fresh workspace") {
+    // Keys of a random graph on `n` vertices numbered from `shift`.
+    def graphKeys(rnd: Random, n: Int, density: Double, shift: Int): Array[Long] =
+      edgeKeys(for (i <- 0 until n; j <- (i + 1) until n if rnd.nextDouble() < density) yield (i + shift, j + shift))
+    val prop = Prop.forAll(Gen.choose(0L, Long.MaxValue)) { seed =>
+      val rnd = new Random(seed)
+      val ws = new Workspace
+      // The first network is the largest, so later ones run in grown arrays
+      // that hold stale entries; their ids overlap it (shift < 40) or not.
+      val sets = graphKeys(rnd, 40, 0.4, 0) +: Vector.fill(20) {
+        if (rnd.nextInt(5) == 0) Array.emptyLongArray
+        else graphKeys(rnd, 4 + rnd.nextInt(12), 0.3 + 0.5 * rnd.nextDouble(), rnd.nextInt(60))
+      }
+      sets.forall { keys =>
+        val fArr = Array.fill(80)(if (rnd.nextInt(5) == 0) 0.0 else rnd.nextInt(11) / 10.0)
+        val f: Int => Double = if (rnd.nextInt(6) == 0) _ => 0.0 else fArr(_)
+        val alpha = rnd.nextInt(4) * 0.25
+        // The kernel reads only the first n keys of the intersection buffer.
+        val n = ws.intersect(keys, 0, keys.length, keys, 0, keys.length)
+        n == keys.length &&
+          mptd(ws.intersection, n, f, alpha, ws) == mptd(keys, f, alpha) &&
+          sameDecomposition(decompose(ws.intersection, n, f, ws), decompose(keys, f)) &&
+          mptd(keys, keys.length, f, 0.0, ws) == mptd(keys, f, 0.0)
+      }
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(60), prop)
+    assert(res.passed, res.status)
+  }
+
+  test("kernel rejects keys with a negative vertex id") {
+    intercept[IllegalArgumentException](mptd(Array(ekey(-1, 2), ekey(0, 2)).sorted, one, 0.0))
+    intercept[IllegalArgumentException](decompose(Array(ekey(-3, -2)), one))
+  }
+
+  test("buffered intersection equals Set intersection: empty, disjoint, prefix and equal slices") {
+    val sortedKeys = Gen.listOf(Gen.choose(-40L, 40L)).map(_.distinct.sorted.toArray)
+    val pair = Gen.oneOf(
+      Gen.zip(sortedKeys, sortedKeys),
+      sortedKeys.map(a => (a, a)),
+      sortedKeys.flatMap(a => Gen.choose(0, a.length).map(k => (a, a.take(k)))),
+      sortedKeys.map(a => (a, a.map(_ + 100))),
+      sortedKeys.map(a => (a, Array.emptyLongArray)))
+    val ws = new Workspace // shared by every case: the buffer grows and shrinks
+    val prop = Prop.forAll(pair, Gen.choose(0, 4), Gen.choose(0, 4)) { case ((a0, b0), da, db) =>
+      val (a, b) = if (da % 2 == 0) (a0, b0) else (b0, a0)
+      // Slices that drop up to `da` keys at the front and `db` at the back.
+      val aFrom = math.min(da, a.length); val aUntil = math.max(aFrom, a.length - db)
+      val bFrom = math.min(db, b.length); val bUntil = math.max(bFrom, b.length - da)
+      val want = (a.slice(aFrom, aUntil).toSet & b.slice(bFrom, bUntil).toSet).toVector.sorted
+      val n = ws.intersect(a, aFrom, aUntil, b, bFrom, bUntil)
+      ws.intersection.take(n).toVector == want && intersectKeys(a, b).toVector == (a.toSet & b.toSet).toVector.sorted
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(500), prop)
+    assert(res.passed, res.status)
+  }
+
   // ------------------------------------------------------ connected components
 
   test("connectedComponents: single triangle is one community") {

@@ -282,6 +282,24 @@ class MinersSuite extends SparkSpec {
     assert(r.trusses.keys.forall(_.length <= 2))
   }
 
+  test("truncated is set when maxLen cuts longer patterns and clear at or above the longest") {
+    val c = TestNets.smallPlanted().compact
+    for (alpha <- Seq(0.0, 0.2)) {
+      val full = TCFI.run(spark, c, alpha, maxLen = 64)
+      val longest = full.trusses.keys.map(_.length).max
+      assert(longest >= 2 && !full.stats.truncated, s"alpha=$alpha")
+      for (run <- Seq[Int => MiningResult](TCFI.run(spark, c, alpha, _), TCFA.run(spark, c, alpha, _),
+                                           Levelwise.serial(c, alpha, _, useIntersection = true))) {
+        assert(run(longest - 1).stats.truncated, s"alpha=$alpha maxLen=${longest - 1}")
+        assert(!run(longest).stats.truncated, s"alpha=$alpha maxLen=$longest")
+        assert(!run(longest + 1).stats.truncated, s"alpha=$alpha maxLen=${longest + 1}")
+      }
+    }
+    // TCS: some vertex database holds a frequent pattern of 2 items, none of 64.
+    assert(TCS.run(spark, c, 0.0, 0.1, maxLen = 2).stats.truncated)
+    assert(!TCS.run(spark, c, 0.0, 0.1, maxLen = 64).stats.truncated)
+  }
+
   test("communities partition each truss's vertices") {
     val c = TestNets.smallPlanted().compact
     val r = TCFI.run(spark, c, 0.2, maxLen = 3)

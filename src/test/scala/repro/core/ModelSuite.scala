@@ -78,4 +78,35 @@ class ModelSuite extends AnyFunSuite {
       assert(net.themeKeys(p.toArray).toVector == inducedKeys(net, p))
     assert(net.support(0).toVector == Vector(0, 1) && net.support(1).toVector == Vector(1, 3))
   }
+
+  test("freq equals a naive count over the transactions, in one reused workspace") {
+    // Databases of 0, a few or many transactions over items 0 until 4, so
+    // patterns of 3-4 items run the buffered merge at many sizes; items -1
+    // and 4..6 are outside S.
+    val net = for {
+      seed <- Gen.choose(0L, Long.MaxValue)
+      n    <- Gen.choose(1, 12)
+    } yield {
+      val rnd = new scala.util.Random(seed)
+      val txs = Vector.fill(n) {
+        val size = rnd.nextInt(3) match { case 0 => 0; case 1 => 1 + rnd.nextInt(4); case _ => 20 + rnd.nextInt(60) }
+        Vector.fill(size)(Vector.fill(1 + rnd.nextInt(4))(rnd.nextInt(4)).distinct.sorted)
+      }
+      GenNet(n, Vector.empty, txs)
+    }
+    val pattern = Gen.choose(0, 4).flatMap(Gen.listOfN(_, Gen.choose(-1, 6))).map(_.distinct.sorted.toArray)
+    def naive(txs: Seq[Seq[Int]], p: Array[Int]): Double =
+      if (txs.isEmpty) 0.0 else txs.count(t => p.forall(t.contains)).toDouble / txs.length
+    val prop = Prop.forAll(net, Gen.listOfN(40, Gen.zip(Gen.choose(0, 11), pattern))) { (g, calls) =>
+      val c = g.compact
+      val ws = new Workspace
+      calls.forall { case (v0, p) =>
+        val v = v0 % g.n
+        val want = naive(g.txs(v), p)
+        c.freq(v, p, ws) == want && c.freq(v, p) == want && c.freq(v, p.toVector) == want
+      }
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(300), prop)
+    assert(res.passed, res.status)
+  }
 }

@@ -233,6 +233,24 @@ class TCTreeSuite extends SparkSpec {
     }
   }
 
+  test("serial build equals the Spark build node for node, with bit-equal decompositions") {
+    for ((name, tree, serial) <- Seq(("planted", plantedTree, TCTree.serial(plantedCompact, maxDepth = 4)),
+                                     ("bkLike", bkTree, TCTree.serial(bkCompact)))) {
+      def same(got: TCNode, want: TCNode): Unit = {
+        val ctx = s"$name ${Pattern.key(want.pattern)}"
+        assert(got.item == want.item && got.pattern == want.pattern, ctx)
+        assert(got.decomp.thresholds.toVector == want.decomp.thresholds.toVector, ctx)
+        assert(got.decomp.keys.toVector == want.decomp.keys.toVector, ctx)
+        assert(got.decomp.offsets.toVector == want.decomp.offsets.toVector, ctx)
+        assert(got.children.map(_.item) == want.children.map(_.item), ctx)
+        got.children.zip(want.children).foreach { case (g, w) => same(g, w) }
+      }
+      same(serial.root, tree.root)
+      assert(serial.nNodes == tree.nNodes && serial.nNodes > 0, name)
+    }
+    intercept[IllegalArgumentException](TCTree.serial(plantedCompact, maxDepth = 0))
+  }
+
   test("tie rule: at alpha = each stored threshold, trussAt, mptd and DistributedMPTD agree") {
     import spark.implicits._
     // Case (node, β_k, C*_p(β_{k−1})): β_k is the least cohesion in C*_p(β_{k−1}).
