@@ -1,15 +1,15 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.harness.Experiments
 
 /** Table 2 — statistics of the database networks (paper scale vs. ours is
   * recorded in EXPERIMENTS.md). Asserts the paper's qualitative orderings.
   */
-class Table2StatsBench extends SparkSpec {
+class Table2StatsBench extends AnyFunSuite {
 
   test("Table 2: dataset statistics") {
-    val rows = Experiments.table2(spark)
+    val rows = Experiments.table2()
     println("== Table 2: statistics of the database networks ==")
     println(Experiments.formatTable2(rows))
 

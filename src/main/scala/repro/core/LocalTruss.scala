@@ -101,9 +101,9 @@ object LocalTruss {
 
   /** Comparison tolerance for `eco > α`. Edge cohesions are sums of
     * rational frequencies accumulated in different orders by the different
-    * implementations (initial sums, decremental peeling, DataFrame
+    * computations (initial sums, decremental peeling, the SQL oracle's
     * aggregation); a tie at exactly α would otherwise resolve differently
-    * per implementation. Real cohesion gaps are ≫ 1e-9, floating-point
+    * per computation. Real cohesion gaps are ≫ 1e-9, floating-point
     * noise is ≪ 1e-9, so "≤ α" is implemented as "≤ α + Eps" everywhere.
     */
   val Eps: Double = 1e-9

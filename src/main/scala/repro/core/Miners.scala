@@ -78,13 +78,14 @@ private[repro] object MinerOps {
   * vertex database, every pattern with frequency > ε (distributed over
   * vertices), then runs MPTD on each candidate's theme network (distributed
   * over patterns). Trades accuracy for speed: a pattern below ε on every
-  * vertex is never examined even if it forms a dense truss. The result is
-  * flagged `truncated` when a candidate has `maxLen` items, since the
-  * per-vertex enumeration stopped there.
+  * vertex is never examined even if it forms a dense truss. Pattern length
+  * is uncapped unless `maxLen` is given; a capped result is flagged
+  * `truncated` when a candidate has `maxLen` items, since the per-vertex
+  * enumeration stopped there.
   */
 object TCS {
   def run(spark: SparkSession, net: CompactNetwork, alpha: Double, eps: Double,
-          maxLen: Int = 6): MiningResult = {
+          maxLen: Int = Int.MaxValue): MiningResult = {
     MinerOps.requireAlpha(alpha)
     MinerOps.requireMaxLen(maxLen)
     require(eps >= 0.0, s"eps must be >= 0, got $eps")
@@ -94,7 +95,7 @@ object TCS {
     val candidates = sc
       .parallelize(0 until net.n, MinerOps.slices(spark, net.n))
       .flatMap { v =>
-        Frequency.localFrequentPatterns(bc.value.txs(v).toIndexedSeq, eps, maxLen)
+        localFrequentPatterns(bc.value.txs(v).toIndexedSeq, eps, maxLen)
       }
       .distinct()
       .collect()
@@ -116,6 +117,48 @@ object TCS {
     MiningResult(found.toMap, MinerStats(candidates.length.toLong, candidates.length.toLong, 0L, ms,
                                          truncated = candidates.exists(_.length >= maxLen)))
   }
+
+  /** All patterns p with f_v(p) > eps in the one vertex database `db`, up
+    * to `maxLen` items: depth-first search over sorted items with tid-list
+    * intersection. The frequency threshold is anti-monotone, so pruning is
+    * exact.
+    */
+  def localFrequentPatterns(db: IndexedSeq[Array[Int]], eps: Double, maxLen: Int): Vector[Vector[Int]] = {
+    val nTx = db.length
+    if (nTx == 0) return Vector.empty
+    val tid = mutable.Map.empty[Int, mutable.ArrayBuffer[Int]]
+    for ((t, ti) <- db.zipWithIndex; item <- t.distinct)
+      tid.getOrElseUpdate(item, mutable.ArrayBuffer.empty) += ti
+    val items = tid.keys.toArray.sorted
+    val out = Vector.newBuilder[Vector[Int]]
+    def dfs(prefix: Vector[Int], prefixTids: Array[Int], startIdx: Int): Unit = {
+      var i = startIdx
+      while (i < items.length) {
+        val it = items(i)
+        val itTids = tid(it).toArray
+        val merged =
+          if (prefix.isEmpty) itTids
+          else {
+            val b = Array.newBuilder[Int]
+            var x = 0; var y = 0
+            while (x < prefixTids.length && y < itTids.length) {
+              if (prefixTids(x) == itTids(y)) { b += prefixTids(x); x += 1; y += 1 }
+              else if (prefixTids(x) < itTids(y)) x += 1
+              else y += 1
+            }
+            b.result()
+          }
+        if (merged.length.toDouble / nTx > eps) {
+          val p = prefix :+ it
+          out += p
+          if (p.length < maxLen) dfs(p, merged, i + 1)
+        }
+        i += 1
+      }
+    }
+    dfs(Vector.empty, Array.empty, 0)
+    out.result()
+  }
 }
 
 /** Theme Community Finder Apriori (Algorithm 3). Level-wise: qualified
@@ -123,11 +166,11 @@ object TCS {
   * candidate's theme network is induced from the *full* database network
   * (`CompactNetwork.themeKeys`) and peeled by MPTD. Exact. Runs on the
   * `Levelwise` engine: one Spark job per level, one task per range of
-  * prefix classes.
+  * prefix classes. Pattern length is uncapped unless `maxLen` is given.
   */
 object TCFA {
   def run(spark: SparkSession, net: CompactNetwork, alpha: Double,
-          maxLen: Int = 6): MiningResult =
+          maxLen: Int = Int.MaxValue): MiningResult =
     Levelwise.run(spark, net, alpha, maxLen, useIntersection = false)
 }
 
@@ -136,11 +179,12 @@ object TCFA {
   * network induced from C*_{p^{k−1}}(α) ∩ C*_{q^{k−1}}(α) (Proposition 5.3);
   * an empty intersection prunes the candidate without running MPTD. The
   * parents' trusses travel to the tasks as sorted edge-key arrays and are
-  * intersected there by a linear merge. Exact.
+  * intersected there by a linear merge. Exact; pattern length is uncapped
+  * unless `maxLen` is given.
   */
 object TCFI {
   def run(spark: SparkSession, net: CompactNetwork, alpha: Double,
-          maxLen: Int = 6): MiningResult =
+          maxLen: Int = Int.MaxValue): MiningResult =
     Levelwise.run(spark, net, alpha, maxLen, useIntersection = true)
 }
 

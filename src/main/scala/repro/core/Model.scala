@@ -1,41 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-
 import scala.collection.mutable
-
-/** A database network G = (V, E, D, S) held as Spark DataFrames.
-  *
-  * Schemas (all column types are INT unless noted):
-  *  - `vertices(id)`
-  *  - `edges(src, dst)` with the canonical orientation `src < dst`
-  *    (the graph is undirected; one row per edge)
-  *  - `transactions(vertexId, txId BIGINT, item)` in long format: one row per
-  *    (transaction, item) occurrence. A transaction database is a multi-set,
-  *    so two transactions of the same vertex may contain identical item sets
-  *    under different `txId`s.
-  */
-final case class DatabaseNetwork(
-    vertices: DataFrame,
-    edges: DataFrame,
-    transactions: DataFrame,
-) {
-
-  /** Table 2 statistics of this database network. */
-  def stats: NetworkStats = {
-    val nV = vertices.count()
-    val nE = edges.count()
-    val row = transactions
-      .agg(
-        countDistinct(struct(col("vertexId"), col("txId"))) as "nTx",
-        count(lit(1))                                       as "itemsTotal",
-        countDistinct(col("item"))                          as "itemsUnique",
-      )
-      .head()
-    NetworkStats(nV, nE, row.getLong(0), row.getLong(1), row.getLong(2))
-  }
-}
 
 /** Table 2 row: the five statistics the paper reports per dataset. */
 final case class NetworkStats(
@@ -46,48 +11,13 @@ final case class NetworkStats(
     nItemsUnique: Long,
 )
 
-object DatabaseNetwork {
-
-  /** The `txId` of the ti-th transaction of vertex v: v in the high 32
-    * bits, ti in the low 32, so ids never collide across vertices.
-    */
-  def txId(v: Int, ti: Int): Long = (v.toLong << 32) | ti.toLong
-
-  /** Build the DataFrame model from driver-side collections.
-    *
-    * @param n     number of vertices (ids 0..n−1)
-    * @param edges undirected edges, any orientation, self-loops dropped
-    * @param txs   per-vertex transaction databases (txs(v) is the multi-set)
-    */
-  def fromLocal(
-      spark: SparkSession,
-      n: Int,
-      edges: Seq[(Int, Int)],
-      txs: IndexedSeq[Seq[Seq[Int]]],
-  ): DatabaseNetwork = {
-    import spark.implicits._
-    require(txs.length == n, s"txs has ${txs.length} entries for $n vertices")
-    val canon = edges.iterator
-      .filter { case (u, v) => u != v }
-      .map { case (u, v) => if (u < v) (u, v) else (v, u) }
-      .toSeq.distinct
-    val txRows = for {
-      v    <- 0 until n
-      (t, ti) <- txs(v).zipWithIndex
-      item <- t.distinct
-    } yield (v, txId(v, ti), item)
-    DatabaseNetwork(
-      spark.range(n).select($"id".cast("int") as "id"),
-      canon.toDF("src", "dst"),
-      txRows.toDF("vertexId", "txId", "item"),
-    )
-  }
-}
-
-/** Driver-side / broadcast-friendly view of a database network.
+/** A database network G = (V, E, D, S) (Section 3.1): the one
+  * representation every miner, the TC-Tree and Table 2 run on, small
+  * enough to broadcast.
   *
-  * Holds sorted, duplicate-free adjacency arrays and, per vertex, the
-  * transaction list plus a vertical index item → sorted tx indices, so that
+  * Vertices are `0 until n`. Holds sorted, duplicate-free adjacency arrays
+  * and, per vertex, its transaction database (a multi-set of transactions,
+  * each a duplicate-free item array), plus a vertical index item → sorted tx indices, so that
   * f_i(p) = |∩_{s∈p} txIdx(i)(s)| / |d_i| is an intersection of sorted int
   * arrays — the hot loop of every miner. An item → supporting-vertices
   * index lets a theme network be induced from the vertices of its rarest
@@ -126,6 +56,17 @@ final case class CompactNetwork(
   /** All distinct items in S (those appearing in at least one transaction). */
   @transient lazy val items: Array[Int] =
     txs.iterator.flatMap(_.iterator.flatMap(_.iterator)).toArray.distinct.sorted
+
+  /** Table 2 statistics: vertices, edges, the transactions that hold at
+    * least one item, and items counted distinct within each transaction,
+    * in total and over S.
+    */
+  def stats: NetworkStats = {
+    var nTx = 0L
+    var total = 0L
+    for (db <- txs; t <- db if t.nonEmpty) { nTx += 1; total += t.distinct.length }
+    NetworkStats(n, nEdges, nTx, total, items.length)
+  }
 
   /** Parallel to `items`: the ascending vertices whose database holds the item. */
   @transient private lazy val supports: Array[Array[Int]] = {
@@ -210,13 +151,6 @@ final case class CompactNetwork(
   def freq(v: Int, p: Array[Int]): Double = freq(v, p, new Workspace)
 
   def freq(v: Int, p: Vector[Int]): Double = freq(v, p.toArray)
-
-  /** Frequencies of p on every vertex, as a dense array. */
-  def freqAll(p: Vector[Int]): Array[Double] = {
-    val pa = p.toArray
-    val ws = new Workspace
-    Array.tabulate(n)(freq(_, pa, ws))
-  }
 
   /** The theme network G_p as the ascending canonical keys
     * (`LocalTruss.ekey`) of the edges whose endpoints both have

@@ -7,8 +7,8 @@ import repro.netgen.{GenNet, NetGen}
 
 import scala.util.Random
 
-/** Shared harness behind the `jobs/` spark-submit mains and the `bench/`
-  * suites: one function per paper table/figure, each returning the printed
+/** Shared harness behind the `jobs/` entry point and the `bench/` suites:
+  * one function per paper table/figure, each returning the printed
   * rows as data so the bench suites can assert the paper's qualitative
   * claims (orderings, monotonicity, crossovers) and EXPERIMENTS.md can diff
   * paper-vs-measured numbers.
@@ -29,9 +29,9 @@ object Experiments {
 
   final case class Table2Row(name: String, stats: NetworkStats)
 
-  /** Table 2: dataset statistics computed through the DataFrame pipeline. */
-  def table2(spark: SparkSession, datasets: Seq[DatasetSpec] = benchDatasets): Seq[Table2Row] =
-    datasets.map(d => Table2Row(d.name, d.gen().toDF(spark).stats))
+  /** Table 2: dataset statistics (`CompactNetwork.stats`). */
+  def table2(datasets: Seq[DatasetSpec] = benchDatasets): Seq[Table2Row] =
+    datasets.map(d => Table2Row(d.name, d.gen().compact.stats))
 
   def formatTable2(rows: Seq[Table2Row]): String = {
     val header = f"${"dataset"}%-8s ${"#Vertices"}%12s ${"#Edges"}%12s ${"#Tx"}%12s ${"#Items(tot)"}%12s ${"#Items(uniq)"}%12s"
@@ -80,21 +80,25 @@ object Experiments {
 
   // ------------------------------------------------------- Figure 3 (α, ε)
 
+  /** `truncated`: the length cap cut the run, so it may lack results. */
   final case class MinerRow(method: String, alpha: Double, eps: Double,
                             timeMs: Long, np: Long, nv: Long, ne: Long,
-                            mptdCalls: Long, pruned: Long)
+                            mptdCalls: Long, pruned: Long, truncated: Boolean)
 
   private def minerRow(method: String, alpha: Double, eps: Double, r: MiningResult): MinerRow =
     MinerRow(method, alpha, eps, r.stats.timeMs, r.np, r.nv, r.ne,
-             r.stats.mptdCalls, r.stats.prunedByIntersection)
+             r.stats.mptdCalls, r.stats.prunedByIntersection, r.stats.truncated)
+
+  private def flag(truncated: Boolean): String = if (truncated) "yes" else "no"
 
   /** Figure 3 sweep: TCS(ε) / TCFA / TCFI across cohesion thresholds α on
-    * one (typically BFS-sampled) database network.
+    * one (typically BFS-sampled) database network, uncapped unless
+    * `maxLen` is given.
     */
   def fig3(spark: SparkSession, net: GenNet,
            alphas: Seq[Double] = Seq(0.0, 0.1, 0.2, 0.3, 0.5, 1.0, 1.5, 2.0),
            epss: Seq[Double] = Seq(0.1, 0.2, 0.3),
-           maxLen: Int = 6): Seq[MinerRow] = {
+           maxLen: Int = Int.MaxValue): Seq[MinerRow] = {
     val c = net.compact
     alphas.flatMap { a =>
       epss.map(e => minerRow(s"TCS(eps=$e)", a, e, TCS.run(spark, c, a, e, maxLen))) ++
@@ -106,28 +110,30 @@ object Experiments {
   }
 
   def formatMinerRows(rows: Seq[MinerRow]): String = {
-    val header = f"${"method"}%-14s ${"alpha"}%6s ${"time(ms)"}%9s ${"NP"}%8s ${"NV"}%9s ${"NE"}%9s ${"MPTD"}%8s ${"pruned"}%8s"
+    val header = f"${"method"}%-14s ${"alpha"}%6s ${"time(ms)"}%9s ${"NP"}%8s ${"NV"}%9s ${"NE"}%9s ${"MPTD"}%8s ${"pruned"}%8s ${"truncated"}%9s"
     (header +: rows.map { r =>
-      f"${r.method}%-14s ${r.alpha}%6.2f ${r.timeMs}%9d ${r.np}%8d ${r.nv}%9d ${r.ne}%9d ${r.mptdCalls}%8d ${r.pruned}%8d"
+      f"${r.method}%-14s ${r.alpha}%6.2f ${r.timeMs}%9d ${r.np}%8d ${r.nv}%9d ${r.ne}%9d ${r.mptdCalls}%8d ${r.pruned}%8d ${flag(r.truncated)}%9s"
     }).mkString("\n")
   }
 
   // ------------------------------------------------- Figure 4 (scalability)
 
+  /** `truncated`: the length cap cut the run, so it may lack results. */
   final case class Fig4Row(method: String, mEdges: Int, timeMs: Long,
-                           np: Long, nvOverNp: Double, neOverNp: Double)
+                           np: Long, nvOverNp: Double, neOverNp: Double, truncated: Boolean)
 
   /** Figure 4: runtime and truss-size metrics vs. BFS-sampled network size,
-    * at the worst case α = 0. TCS/TCFA are skipped above their cutoffs
-    * (paper: "we stop reporting when they cost more than one day").
+    * at the worst case α = 0, uncapped unless `maxLen` is given. TCS/TCFA
+    * are skipped above their cutoffs (paper: "we stop reporting when they
+    * cost more than one day").
     */
   def fig4(spark: SparkSession, base: GenNet, sizes: Seq[Int],
-           eps: Double = 0.1, maxLen: Int = 6,
+           eps: Double = 0.1, maxLen: Int = Int.MaxValue,
            tcsCutoff: Int = Int.MaxValue, tcfaCutoff: Int = Int.MaxValue): Seq[Fig4Row] = {
     def row(method: String, m: Int, r: MiningResult): Fig4Row =
       Fig4Row(method, m, r.stats.timeMs, r.np,
               if (r.np == 0) 0.0 else r.nv.toDouble / r.np,
-              if (r.np == 0) 0.0 else r.ne.toDouble / r.np)
+              if (r.np == 0) 0.0 else r.ne.toDouble / r.np, r.stats.truncated)
     sizes.flatMap { m =>
       val net = NetGen.bfsSample(base, m).compact
       val out = scala.collection.mutable.ArrayBuffer.empty[Fig4Row]
@@ -139,9 +145,9 @@ object Experiments {
   }
 
   def formatFig4(rows: Seq[Fig4Row]): String = {
-    val header = f"${"method"}%-14s ${"edges"}%8s ${"time(ms)"}%9s ${"NP"}%8s ${"NV/NP"}%8s ${"NE/NP"}%8s"
+    val header = f"${"method"}%-14s ${"edges"}%8s ${"time(ms)"}%9s ${"NP"}%8s ${"NV/NP"}%8s ${"NE/NP"}%8s ${"truncated"}%9s"
     (header +: rows.map { r =>
-      f"${r.method}%-14s ${r.mEdges}%8d ${r.timeMs}%9d ${r.np}%8d ${r.nvOverNp}%8.2f ${r.neOverNp}%8.2f"
+      f"${r.method}%-14s ${r.mEdges}%8d ${r.timeMs}%9d ${r.np}%8d ${r.nvOverNp}%8.2f ${r.neOverNp}%8.2f ${flag(r.truncated)}%9s"
     }).mkString("\n")
   }
 
@@ -214,7 +220,7 @@ object Experiments {
     */
   def caseStudy(spark: SparkSession, net: GenNet, alpha: Double = 0.3,
                 minPatternLen: Int = 2, top: Int = 10): Seq[CaseCommunity] = {
-    val result = TCFI.run(spark, net.compact, alpha, maxLen = Int.MaxValue)
+    val result = TCFI.run(spark, net.compact, alpha)
     result.communities
       .filter(_._1.length >= minPatternLen)
       .groupBy(_._2)

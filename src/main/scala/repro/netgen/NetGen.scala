@@ -1,7 +1,6 @@
 package repro.netgen
 
-import org.apache.spark.sql.SparkSession
-import repro.core.{CompactNetwork, DatabaseNetwork}
+import repro.core.CompactNetwork
 
 import scala.collection.mutable
 import scala.util.Random
@@ -21,10 +20,9 @@ final case class GenNet(
 ) {
   def nEdges: Int = edges.length
 
-  def toDF(spark: SparkSession): DatabaseNetwork =
-    DatabaseNetwork.fromLocal(spark, n, edges, txs.map(_.map(_.toSeq)))
-
-  /** Direct compact view (no Spark round-trip) for the miners. */
+  /** The network the algorithms run on: adjacency without duplicates and
+    * items distinct within each transaction.
+    */
   def compact: CompactNetwork = {
     val adj = Array.fill(n)(mutable.ArrayBuffer.empty[Int])
     edges.foreach { case (u, v) => adj(u) += v; adj(v) += u }

@@ -1,8 +1,6 @@
 package repro
 
-import repro.core.{CompactNetwork, DatabaseNetwork}
 import repro.netgen.{GenNet, NetGen}
-import org.apache.spark.sql.SparkSession
 
 import scala.util.Random
 
@@ -80,8 +78,6 @@ object TestNets {
     v => f(v)
   }
 
-  def toDF(spark: SparkSession, g: GenNet): DatabaseNetwork = g.toDF(spark)
-  def compact(g: GenNet): CompactNetwork = g.compact
 
   /** Connected components by breadth-first search over an adjacency map,
     * largest first, ties by least vertex: the reference for the union-find

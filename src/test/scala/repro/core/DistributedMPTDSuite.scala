@@ -1,93 +1,89 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import repro.{SparkSpec, TestNets}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.netgen.{GenNet, NetGen}
+import repro.{NetworkSql, Oracle, TestNets}
 
 import scala.util.Random
 
-/** The DataFrame fixed-point peeling must compute exactly the same maximal
-  * pattern truss as the sequential Algorithm 1.
+/** Distributed-style MPTD, the round-synchronous fixed point of Algorithm 1
+  * (every edge with cohesion ≤ α deleted at once, round after round, until a
+  * round deletes none), run as SQL on DuckDB (`NetworkSql.mptd`), must equal
+  * the sequential queue-based peel `LocalTruss.mptd` edge for edge, with
+  * cohesions within 1e-9. It reaches the same maximal pattern truss: an edge
+  * of C*_p(α) has cohesion > α in every supergraph of C*_p(α), so no round
+  * drops it, and the fixed point is a pattern truss, so it lies inside the
+  * maximal one.
   */
-class DistributedMPTDSuite extends SparkSpec {
+class DistributedMPTDSuite extends AnyFunSuite {
 
-  private def edgesDF(es: Seq[(Int, Int)]): DataFrame = {
-    import spark.implicits._
-    es.toDF("src", "dst")
+  private val bowtie = Seq((0, 1), (0, 2), (1, 2), (1, 3), (2, 3))
+
+  private def rows(t: Truss): Seq[Seq[Any]] = t.edges.zip(t.cohesions).map { case ((u, v), c) => Seq(u, v, c) }
+
+  /** The SQL peel of `edges` at α, checked against the kernel's; returns it
+    * as a map from edge to cohesion.
+    */
+  private def peel(edges: Seq[(Int, Int)], f: Map[Int, Double], alpha: Double): Map[(Int, Int), Double] = {
+    val sql = Oracle.withDb(NetworkSql.edgeTables(edges, f): _*)(NetworkSql.mptd(_, alpha))
+    Oracle.assertSameRows(rows(LocalTruss.mptd(edges, f, alpha)), sql, s"alpha=$alpha")
+    NetworkSql.cohesions(sql)
   }
 
-  private def freqDF(f: Seq[(Int, Double)]): DataFrame = {
-    import spark.implicits._
-    f.toDF("vertexId", "freq")
+  /** On every pattern of `ps`, the SQL pipeline from the transactions
+    * (frequencies, theme network, peel) against `themeKeys` and the kernel;
+    * returns how many of the trusses are non-empty.
+    */
+  private def assertSameTrusses(g: GenNet, ps: Seq[Vector[Int]], alpha: Double): Int = {
+    val c = g.compact
+    NetworkSql.withNetwork(g) { db =>
+      ps.count { p =>
+        val keys = c.themeKeys(p.toArray)
+        val t = LocalTruss.mptd(keys, c.freq(_, p), alpha)
+        Oracle.assertSameRows(rows(t), NetworkSql.themeMptd(db, p, alpha), s"p=$p alpha=$alpha")
+        !t.isEmpty
+      }
+    }
   }
-
-  private def trussEdges(df: DataFrame): Set[(Int, Int)] =
-    df.select("src", "dst").collect().map(r => (r.getInt(0), r.getInt(1))).toSet
 
   test("triangle with unit frequencies survives alpha = 0.5") {
-    val out = DistributedMPTD.run(
-      edgesDF(Seq((0, 1), (0, 2), (1, 2))),
-      freqDF(Seq(0 -> 1.0, 1 -> 1.0, 2 -> 1.0)), 0.5)
-    assert(trussEdges(out) == Set((0, 1), (0, 2), (1, 2)))
-    assert(out.collect().forall(r => math.abs(r.getDouble(2) - 1.0) < 1e-12))
+    val eco = peel(Seq((0, 1), (0, 2), (1, 2)), (0 to 2).map(_ -> 1.0).toMap, 0.5)
+    assert(eco.keySet == Set((0, 1), (0, 2), (1, 2)))
+    assert(eco.values.forall(c => math.abs(c - 1.0) < 1e-12))
   }
 
   test("triangle with unit frequencies dies at alpha = 1 (strict)") {
-    val out = DistributedMPTD.run(
-      edgesDF(Seq((0, 1), (0, 2), (1, 2))),
-      freqDF(Seq(0 -> 1.0, 1 -> 1.0, 2 -> 1.0)), 1.0)
-    assert(out.isEmpty)
+    assert(peel(Seq((0, 1), (0, 2), (1, 2)), (0 to 2).map(_ -> 1.0).toMap, 1.0).isEmpty)
   }
 
   test("cascading removal: bowtie dies entirely at alpha = 1") {
-    val bow = Seq((0, 1), (0, 2), (1, 2), (1, 3), (2, 3))
-    val out = DistributedMPTD.run(edgesDF(bow), freqDF((0 to 3).map(_ -> 1.0)), 1.0)
-    assert(out.isEmpty)
+    assert(peel(bowtie, (0 to 3).map(_ -> 1.0).toMap, 1.0).isEmpty)
   }
 
   test("bowtie at alpha = 0: all five edges survive, shared edge eco 2") {
-    val bow = Seq((0, 1), (0, 2), (1, 2), (1, 3), (2, 3))
-    val out = DistributedMPTD.run(edgesDF(bow), freqDF((0 to 3).map(_ -> 1.0)), 0.0)
-    val eco = out.collect().map(r => ((r.getInt(0), r.getInt(1)), r.getDouble(2))).toMap
+    val eco = peel(bowtie, (0 to 3).map(_ -> 1.0).toMap, 0.0)
     assert(eco.size == 5)
     assert(math.abs(eco((1, 2)) - 2.0) < 1e-12)
   }
 
   test("agrees with Algorithm 1 on random networks and real pattern frequencies") {
     val rnd = new Random(41)
-    for (_ <- 0 until 4) {
+    var nonEmpty = 0
+    for (_ <- 0 until 8) {
       val g = TestNets.randomNet(rnd)
-      val c = g.compact
-      val net = g.toDF(spark)
-      val p = Vector(rnd.nextInt(4))
-      val alpha = rnd.nextInt(3) * 0.2
-      val fDf = Frequency.frequencies(net, p)
-      val theme = Frequency.themeNetwork(net.edges, fDf)
-      val got = trussEdges(DistributedMPTD.run(theme, fDf, alpha))
-      val f: Int => Double = c.freq(_, p)
-      val expected = LocalTruss.mptd(LocalTruss.themeInduce(g.edges, f), f, alpha).edges.toSet
-      assert(got == expected, s"p=$p alpha=$alpha")
+      val ps = Seq(Vector(rnd.nextInt(4)), Vector(rnd.nextInt(3), 3 + rnd.nextInt(3)))
+      for (alpha <- Seq(0.0, 0.2, 0.4)) nonEmpty += assertSameTrusses(g, ps, alpha)
     }
+    assert(nonEmpty > 0)
   }
 
   test("final cohesions agree with Algorithm 1 cohesions") {
-    val g = TestNets.smallPlanted()
-    val sample = repro.netgen.NetGen.bfsSample(g, 60)
+    val sample = NetGen.bfsSample(TestNets.smallPlanted(), 60)
     val c = sample.compact
-    val net = sample.toDF(spark)
-    val p = Vector(c.items.head)
-    val fDf = Frequency.frequencies(net, p)
-    val theme = Frequency.themeNetwork(net.edges, fDf)
-    val got = DistributedMPTD.run(theme, fDf, 0.0)
-      .collect().map(r => (LocalTruss.ekey(r.getInt(0), r.getInt(1)), r.getDouble(2))).toMap
-    val f: Int => Double = c.freq(_, p)
-    val expected = LocalTruss.mptd(LocalTruss.themeInduce(c.edgeList, f), f, 0.0)
-    assert(got.keySet == expected.cohesion.keySet)
-    for ((k, v) <- expected.cohesion) assert(math.abs(got(k) - v) < 1e-9)
+    assert(assertSameTrusses(sample, c.items.toSeq.map(Vector(_)), 0.0) > 0)
   }
 
   test("empty theme network yields empty truss") {
-    val out = DistributedMPTD.run(
-      edgesDF(Seq.empty), freqDF(Seq(0 -> 1.0)), 0.0)
-    assert(out.isEmpty)
+    assert(peel(Seq.empty, Map(0 -> 1.0), 0.0).isEmpty)
   }
 }

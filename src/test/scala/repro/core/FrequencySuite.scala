@@ -1,185 +1,150 @@
 package repro.core
 
-import repro.{Oracle, SparkSpec, TestNets}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.Oracle.Db
+import repro.netgen.GenNet
+import repro.{NetworkSql, Oracle, TestNets}
 
 import scala.util.Random
 
-/** DataFrame frequency pipeline vs. hand-computed values, the compact
-  * in-memory implementation, and the DuckDB oracle.
+/** Pattern frequency f_v(p) (`CompactNetwork.freq`) and theme-network
+  * induction (`CompactNetwork.themeKeys`) against hand-computed values and
+  * against their SQL definitions on DuckDB (`NetworkSql.frequencies`,
+  * `NetworkSql.themeNetwork`), row for row.
   */
-class FrequencySuite extends SparkSpec {
+class FrequencySuite extends AnyFunSuite {
 
-  private lazy val tiny: DatabaseNetwork = DatabaseNetwork.fromLocal(
-    spark, 3,
-    edges = Seq((0, 1), (1, 2)),
-    txs = Vector(
-      Seq(Seq(0), Seq(0, 1), Seq(1, 2)), // v0
-      Seq(Seq(0, 1)),                    // v1
-      Seq.empty,                         // v2: empty database
-    ),
-  )
+  private val tiny = GenNet(3, Vector((0, 1), (1, 2)), Vector(
+    Vector(Vector(0), Vector(0, 1), Vector(1, 2)), // v0
+    Vector(Vector(0, 1)),                          // v1
+    Vector.empty,                                  // v2: empty database
+  ))
+  private lazy val tinyC = tiny.compact
 
-  private def freqMap(net: DatabaseNetwork, p: Vector[Int]): Map[Int, Double] =
-    Frequency.frequencies(net, p).collect().map(r => r.getInt(0) -> r.getDouble(1)).toMap
+  private def freqMap(net: CompactNetwork, p: Vector[Int]): Map[Int, Double] =
+    (0 until net.n).map(v => v -> net.freq(v, p)).toMap
+
+  private def sqlFreqMap(db: Db, p: Vector[Int]): Map[Int, Double] = {
+    NetworkSql.usePattern(db, p)
+    db.query(NetworkSql.frequencies).map(r => NetworkSql.int(r(0)) -> r(1).asInstanceOf[Double]).toMap
+  }
+
+  private def sqlThemeEdges(db: Db, p: Vector[Int]): Set[(Int, Int)] = {
+    NetworkSql.usePattern(db, p)
+    NetworkSql.edgeSet(db.query(NetworkSql.themeNetwork))
+  }
+
+  /** The kernel's f_v(p) as (v, f) rows. */
+  private def freqRows(net: CompactNetwork, p: Vector[Int]): Seq[Seq[Any]] =
+    freqMap(net, p).toSeq.map { case (v, f) => Seq(v, f) }
+
+  /** The kernel's G_p as (src, dst) rows. */
+  private def themeRows(net: CompactNetwork, p: Vector[Int]): Seq[Seq[Any]] =
+    net.themeKeys(p.toArray).toSeq.map(LocalTruss.dekey).map(e => Seq(e._1, e._2))
+
+  /** Random networks where about a quarter of the databases are empty and
+    * about one transaction in six is empty.
+    */
+  private def sparseNets(seed: Long, k: Int): Seq[GenNet] = {
+    val rnd = new Random(seed)
+    Seq.fill(k) {
+      val g = TestNets.randomNet(rnd)
+      g.copy(txs = g.txs.map(db =>
+        if (rnd.nextInt(4) == 0) Vector.empty else db.map(t => if (rnd.nextInt(6) == 0) Vector.empty else t)))
+    }
+  }
+
+  /** p = ∅, patterns in S, and patterns with items outside S (−1, 7). */
+  private val patterns = Seq(Vector.empty, Vector(0), Vector(1, 2), Vector(0, 3), Vector(0, 1, 2), Vector(-1), Vector(2, 7))
 
   test("frequencies: hand-computed single-item values") {
-    assert(freqMap(tiny, Vector(0)) == Map(0 -> 2.0 / 3, 1 -> 1.0, 2 -> 0.0))
-    assert(freqMap(tiny, Vector(2)) == Map(0 -> 1.0 / 3, 1 -> 0.0, 2 -> 0.0))
+    NetworkSql.withNetwork(tiny) { db =>
+      for (f <- Seq(freqMap(tinyC, Vector(0)), sqlFreqMap(db, Vector(0))))
+        assert(f == Map(0 -> 2.0 / 3, 1 -> 1.0, 2 -> 0.0))
+      for (f <- Seq(freqMap(tinyC, Vector(2)), sqlFreqMap(db, Vector(2))))
+        assert(f == Map(0 -> 1.0 / 3, 1 -> 0.0, 2 -> 0.0))
+    }
   }
 
   test("frequencies: hand-computed pair pattern") {
-    assert(freqMap(tiny, Vector(0, 1)) == Map(0 -> 1.0 / 3, 1 -> 1.0, 2 -> 0.0))
+    NetworkSql.withNetwork(tiny) { db =>
+      for (f <- Seq(freqMap(tinyC, Vector(0, 1)), sqlFreqMap(db, Vector(0, 1))))
+        assert(f == Map(0 -> 1.0 / 3, 1 -> 1.0, 2 -> 0.0))
+    }
   }
 
   test("frequencies: empty pattern is 1 unless the database is empty") {
-    assert(freqMap(tiny, Vector.empty) == Map(0 -> 1.0, 1 -> 1.0, 2 -> 0.0))
+    NetworkSql.withNetwork(tiny) { db =>
+      for (f <- Seq(freqMap(tinyC, Vector.empty), sqlFreqMap(db, Vector.empty)))
+        assert(f == Map(0 -> 1.0, 1 -> 1.0, 2 -> 0.0))
+    }
   }
 
   test("frequencies: unseen item gives all zeros") {
-    assert(freqMap(tiny, Vector(99)).values.forall(_ == 0.0))
+    NetworkSql.withNetwork(tiny) { db =>
+      for (f <- Seq(freqMap(tinyC, Vector(99)), sqlFreqMap(db, Vector(99))))
+        assert(f.size == 3 && f.values.forall(_ == 0.0))
+    }
   }
 
   test("frequencies: anti-monotone in the pattern (f(p1) >= f(p2) for p1 ⊆ p2)") {
-    val f1 = freqMap(tiny, Vector(0))
-    val f2 = freqMap(tiny, Vector(0, 1))
+    val f1 = freqMap(tinyC, Vector(0))
+    val f2 = freqMap(tinyC, Vector(0, 1))
     assert(f1.keySet.forall(v => f1(v) >= f2(v)))
   }
 
   test("frequencies agree with CompactNetwork.freq on random networks") {
-    val rnd = new Random(21)
-    for (_ <- 0 until 3) {
-      val g = TestNets.randomNet(rnd)
-      val net = g.toDF(spark)
+    for (g <- sparseNets(21, 10)) {
       val c = g.compact
-      for (p <- Seq(Vector(0), Vector(1, 2), Vector(0, 3))) {
-        val dfF = freqMap(net, p)
-        for (v <- 0 until g.n)
-          assert(math.abs(dfF(v) - c.freq(v, p)) < 1e-12, s"v=$v p=$p")
+      NetworkSql.withNetwork(g) { db =>
+        for (p <- patterns) {
+          NetworkSql.usePattern(db, p)
+          Oracle.assertSameRows(freqRows(c, p), db.query(NetworkSql.frequencies), s"p=$p")
+        }
       }
     }
   }
 
   test("frequencies match DuckDB (single item)") {
-    Oracle.assertEquivalent(
-      Frequency.frequencies(tiny, Vector(0)),
-      """WITH tx AS (SELECT CAST(vertexId AS INT) v, txId, CAST(item AS INT) it FROM transactions),
-        |     n AS (SELECT v, COUNT(DISTINCT txId) nTx FROM tx GROUP BY v),
-        |     m AS (SELECT v, COUNT(*) nMatch FROM (
-        |             SELECT v, txId FROM tx WHERE it IN (0)
-        |             GROUP BY v, txId HAVING COUNT(DISTINCT it) = 1) q
-        |           GROUP BY v)
-        |SELECT CAST(ver.id AS INT) AS vertexId,
-        |       CASE WHEN n.nTx IS NULL THEN 0.0
-        |            ELSE CAST(COALESCE(m.nMatch, 0) AS DOUBLE) / n.nTx END AS freq
-        |FROM vertices ver
-        |LEFT JOIN n ON n.v = CAST(ver.id AS INT)
-        |LEFT JOIN m ON m.v = CAST(ver.id AS INT)""".stripMargin,
-      "transactions" -> tiny.transactions,
-      "vertices" -> tiny.vertices,
-    )
+    NetworkSql.withNetwork(tiny) { db =>
+      NetworkSql.usePattern(db, Vector(0))
+      Oracle.assertSameRows(freqRows(tinyC, Vector(0)), db.query(NetworkSql.frequencies))
+    }
   }
 
   test("frequencies match DuckDB (pair pattern, random network)") {
     val g = TestNets.randomNet(new Random(22))
-    val net = g.toDF(spark)
-    Oracle.assertEquivalent(
-      Frequency.frequencies(net, Vector(1, 2)),
-      """WITH tx AS (SELECT CAST(vertexId AS INT) v, txId, CAST(item AS INT) it FROM transactions),
-        |     n AS (SELECT v, COUNT(DISTINCT txId) nTx FROM tx GROUP BY v),
-        |     m AS (SELECT v, COUNT(*) nMatch FROM (
-        |             SELECT v, txId FROM tx WHERE it IN (1, 2)
-        |             GROUP BY v, txId HAVING COUNT(DISTINCT it) = 2) q
-        |           GROUP BY v)
-        |SELECT CAST(ver.id AS INT) AS vertexId,
-        |       CASE WHEN n.nTx IS NULL THEN 0.0
-        |            ELSE CAST(COALESCE(m.nMatch, 0) AS DOUBLE) / n.nTx END AS freq
-        |FROM vertices ver
-        |LEFT JOIN n ON n.v = CAST(ver.id AS INT)
-        |LEFT JOIN m ON m.v = CAST(ver.id AS INT)""".stripMargin,
-      "transactions" -> net.transactions,
-      "vertices" -> net.vertices,
-    )
+    NetworkSql.withNetwork(g) { db =>
+      NetworkSql.usePattern(db, Vector(1, 2))
+      Oracle.assertSameRows(freqRows(g.compact, Vector(1, 2)), db.query(NetworkSql.frequencies))
+    }
   }
 
   test("themeNetwork keeps exactly the edges between positive-frequency vertices") {
-    val f = Frequency.frequencies(tiny, Vector(0)) // v0, v1 positive; v2 zero
-    val edges = Frequency.themeNetwork(tiny.edges, f)
-      .collect().map(r => (r.getInt(0), r.getInt(1))).toSet
-    assert(edges == Set((0, 1)))
+    // v0 and v1 hold item 0; v2's database is empty.
+    NetworkSql.withNetwork(tiny) { db =>
+      assert(themeRows(tinyC, Vector(0)) == Seq(Seq(0, 1)))
+      assert(sqlThemeEdges(db, Vector(0)) == Set((0, 1)))
+    }
   }
 
   test("themeNetwork matches DuckDB join") {
-    val g = TestNets.randomNet(new Random(23))
-    val net = g.toDF(spark)
-    val f = Frequency.frequencies(net, Vector(0))
-    Oracle.assertEquivalent(
-      Frequency.themeNetwork(net.edges, f),
-      """WITH f AS (SELECT CAST(vertexId AS INT) v FROM freqs WHERE CAST(freq AS DOUBLE) > 0)
-        |SELECT CAST(e.src AS INT) AS src, CAST(e.dst AS INT) AS dst
-        |FROM edges e
-        |JOIN f a ON a.v = CAST(e.src AS INT)
-        |JOIN f b ON b.v = CAST(e.dst AS INT)""".stripMargin,
-      "edges" -> net.edges,
-      "freqs" -> f,
-    )
+    for (g <- sparseNets(23, 10)) {
+      val c = g.compact
+      NetworkSql.withNetwork(g) { db =>
+        for (p <- patterns) {
+          NetworkSql.usePattern(db, p)
+          Oracle.assertSameRows(themeRows(c, p), db.query(NetworkSql.themeNetwork), s"p=$p")
+        }
+      }
+    }
   }
 
   test("themeNetwork of the empty pattern is the whole graph (non-empty DBs)") {
     val g = TestNets.triangleNet
-    val net = g.toDF(spark)
-    val f = Frequency.frequencies(net, Vector.empty)
-    assert(Frequency.themeNetwork(net.edges, f).count() == 3)
-  }
-
-  // --------------------------------------------- localFrequentPatterns (TCS)
-
-  test("localFrequentPatterns: hand case with strict threshold") {
-    val db = IndexedSeq(Array(0, 1), Array(0, 1), Array(0, 2), Array(2))
-    // f(0)=0.75, f(1)=0.5, f(2)=0.5, f(01)=0.5, f(02)=0.25
-    val got = Frequency.localFrequentPatterns(db, 0.4, 6).toSet
-    assert(got == Set(Vector(0), Vector(1), Vector(2), Vector(0, 1)))
-    // strictness: eps = 0.5 excludes everything at frequency exactly 0.5
-    assert(Frequency.localFrequentPatterns(db, 0.5, 6).toSet == Set(Vector(0)))
-  }
-
-  test("localFrequentPatterns respects maxLen") {
-    val db = IndexedSeq(Array(0, 1, 2), Array(0, 1, 2))
-    val got = Frequency.localFrequentPatterns(db, 0.1, 2)
-    assert(got.forall(_.length <= 2))
-    assert(got.contains(Vector(0, 1)))
-    assert(!got.contains(Vector(0, 1, 2)))
-  }
-
-  test("localFrequentPatterns of an empty database is empty") {
-    assert(Frequency.localFrequentPatterns(IndexedSeq.empty, 0.0, 6).isEmpty)
-  }
-
-  test("localFrequentPatterns handles duplicate transactions (multi-set)") {
-    val db = IndexedSeq(Array(3), Array(3), Array(3), Array(4))
-    assert(Frequency.localFrequentPatterns(db, 0.7, 6) == Vector(Vector(3)))
-  }
-
-  test("localFrequentPatterns matches brute force on random DBs (30 cases)") {
-    val rnd = new Random(24)
-    for (_ <- 0 until 30) {
-      val db = IndexedSeq.fill(1 + rnd.nextInt(6))(
-        Array.fill(1 + rnd.nextInt(4))(rnd.nextInt(5)).distinct.sorted)
-      val eps = rnd.nextInt(5) / 10.0
-      val items = db.flatten.distinct.sorted
-      def freq(p: Vector[Int]): Double =
-        db.count(t => p.forall(t.contains)).toDouble / db.length
-      val expected = (1 to math.min(items.length, 6)).flatMap(k =>
-        items.toVector.combinations(k).filter(p => freq(p) > eps)).toSet
-      val got = Frequency.localFrequentPatterns(db, eps, 6).toSet
-      assert(got == expected, s"db=${db.map(_.toList)} eps=$eps")
+    NetworkSql.withNetwork(g) { db =>
+      assert(g.compact.themeKeys(Array.emptyIntArray).length == 3)
+      assert(sqlThemeEdges(db, Vector.empty) == g.edges.toSet)
     }
-  }
-
-  test("localFrequentPatterns output is canonical and distinct") {
-    val rnd = new Random(25)
-    val db = IndexedSeq.fill(8)(Array.fill(4)(rnd.nextInt(6)).distinct.sorted)
-    val got = Frequency.localFrequentPatterns(db, 0.1, 6)
-    assert(got.forall(p => p == p.distinct.sorted))
-    assert(got.distinct == got)
   }
 }

@@ -48,7 +48,7 @@ class MinersSuite extends SparkSpec {
       val c = g.compact
       val distributed =
         if (useIntersection) TCFI.run(spark, c, alpha) else TCFA.run(spark, c, alpha)
-      assertSameRun(distributed, Levelwise.serial(c, alpha, maxLen = 6, useIntersection), s"$name alpha=$alpha")
+      assertSameRun(distributed, Levelwise.serial(c, alpha, maxLen = Int.MaxValue, useIntersection), s"$name alpha=$alpha")
     }
 
   // ------------------------------------------------------- level-wise engine
@@ -298,6 +298,20 @@ class MinersSuite extends SparkSpec {
     // TCS: some vertex database holds a frequent pattern of 2 items, none of 64.
     assert(TCS.run(spark, c, 0.0, 0.1, maxLen = 2).stats.truncated)
     assert(!TCS.run(spark, c, 0.0, 0.1, maxLen = 64).stats.truncated)
+  }
+
+  test("length caps are opt-in: a default run equals the uncapped run and is not truncated") {
+    val c = TestNets.smallPlanted().compact
+    for (alpha <- Seq(0.0, 0.2)) {
+      val runs = Seq[(String, Int => MiningResult, MiningResult)](
+        ("TCFI", TCFI.run(spark, c, alpha, _), TCFI.run(spark, c, alpha)),
+        ("TCFA", TCFA.run(spark, c, alpha, _), TCFA.run(spark, c, alpha)),
+        ("TCS", TCS.run(spark, c, alpha, 0.1, _), TCS.run(spark, c, alpha, 0.1)))
+      for ((name, capped, default) <- runs) {
+        assertSameRun(default, capped(Int.MaxValue), s"$name alpha=$alpha")
+        assert(!default.stats.truncated, s"$name alpha=$alpha")
+      }
+    }
   }
 
   test("communities partition each truss's vertices") {

@@ -7,16 +7,8 @@ import repro.netgen.GenNet
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
 
-/** Encodings of the DataFrame database-network model and its compact view. */
+/** `CompactNetwork`: serialisation, theme induction and frequencies. */
 class ModelSuite extends AnyFunSuite {
-
-  test("txId does not collide across vertices at ti = 2^20") {
-    val ti = 1 << 20
-    assert(DatabaseNetwork.txId(0, ti) != DatabaseNetwork.txId(1, 0))
-    assert(DatabaseNetwork.txId(7, ti) >>> 32 == 7L)
-    assert((DatabaseNetwork.txId(7, ti) & 0xffffffffL) == ti.toLong)
-    assert(DatabaseNetwork.txId(0, Int.MaxValue) < DatabaseNetwork.txId(1, 0))
-  }
 
   test("a serialised CompactNetwork ships no derived field and derives them again") {
     def bytes(n: CompactNetwork): Array[Byte] = {
@@ -28,7 +20,7 @@ class ModelSuite extends AnyFunSuite {
     val net = TestNets.smallPlanted().compact
     val p = Vector(net.items.head)
     def derived(n: CompactNetwork) =
-      (n.edgeList.toVector, n.items.toVector, n.freqAll(p).toVector,
+      (n.edgeList.toVector, n.items.toVector, Vector.tabulate(n.n)(n.freq(_, p)),
        n.support(p.head).toVector, n.themeKeys(p.toArray).toVector)
     val before = derived(net)
     assert(bytes(net).length == bytes(TestNets.smallPlanted().compact).length)

@@ -1,92 +1,111 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import repro.{Oracle, SparkSpec, TestNets}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.{NetworkSql, Oracle, TestNets}
 
 import scala.util.Random
 
-/** DataFrame triangle enumeration and edge cohesion vs. hand counts, the
-  * local implementation, and DuckDB.
+/** Triangles and edge cohesion (Definition 3.1). The SQL definitions
+  * (`NetworkSql.triangles`, `NetworkSql.edgeCohesion`) are checked against
+  * hand counts and a from-scratch computation, and the kernel against them:
+  * `LocalTruss.mptd` at α = 0 keeps exactly the edges of positive cohesion,
+  * with their initial cohesions, since an edge of cohesion 0 adds 0 to every
+  * other edge's sum. With unit frequencies that cohesion is the edge's
+  * triangle count.
   */
-class TrianglesSuite extends SparkSpec {
+class TrianglesSuite extends AnyFunSuite {
 
-  private def edgesDF(es: Seq[(Int, Int)]): DataFrame = {
-    import spark.implicits._
-    es.toDF("src", "dst")
+  private val bowtie = Seq((0, 1), (0, 2), (1, 2), (1, 3), (2, 3))
+
+  private def sqlTriangles(edges: Seq[(Int, Int)]): Set[(Int, Int, Int)] =
+    Oracle.query(NetworkSql.triangles, NetworkSql.edgeTables(edges, Nil): _*)
+      .map(r => (NetworkSql.int(r(0)), NetworkSql.int(r(1)), NetworkSql.int(r(2)))).toSet
+
+  private def sqlCohesion(edges: Seq[(Int, Int)], f: Map[Int, Double]): Map[(Int, Int), Double] =
+    NetworkSql.cohesions(Oracle.query(NetworkSql.edgeCohesion, NetworkSql.edgeTables(edges, f): _*))
+
+  /** The kernel's C*(0) with its cohesions. */
+  private def kernelCohesion(edges: Seq[(Int, Int)], f: Int => Double): Map[(Int, Int), Double] = {
+    val t = LocalTruss.mptd(edges, f, 0.0)
+    t.edges.zip(t.cohesions).toMap
   }
 
-  private def freqDF(f: Map[Int, Double]): DataFrame = {
-    import spark.implicits._
-    f.toSeq.toDF("vertexId", "freq")
+  /** Triangles counted by the kernel: unit-frequency cohesions summed over
+    * the edges, three edges per triangle.
+    */
+  private def kernelTriangles(edges: Seq[(Int, Int)]): Long =
+    math.round(kernelCohesion(edges, _ => 1.0).values.sum / 3)
+
+  private def assertTriangles(edges: Seq[(Int, Int)], expected: Set[(Int, Int, Int)]): Unit = {
+    assert(sqlTriangles(edges) == expected)
+    assert(kernelTriangles(edges) == expected.size)
   }
 
-  private def triSet(df: DataFrame): Set[(Int, Int, Int)] =
-    df.collect().map(r => (r.getInt(0), r.getInt(1), r.getInt(2))).toSet
+  private def close(a: Map[(Int, Int), Double], b: Map[(Int, Int), Double]): Boolean =
+    a.keySet == b.keySet && a.forall { case (e, x) => math.abs(x - b(e)) < 1e-12 }
 
   test("triangles: single triangle") {
-    assert(triSet(Triangles.triangles(edgesDF(Seq((0, 1), (0, 2), (1, 2))))) == Set((0, 1, 2)))
+    assertTriangles(Seq((0, 1), (0, 2), (1, 2)), Set((0, 1, 2)))
   }
 
   test("triangles: K4 has four") {
     val k4 = for (i <- 0 until 4; j <- (i + 1) until 4) yield (i, j)
-    assert(triSet(Triangles.triangles(edgesDF(k4))) ==
-      Set((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
+    assertTriangles(k4, Set((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
   }
 
   test("triangles: path graph has none") {
-    assert(Triangles.triangles(edgesDF(Seq((0, 1), (1, 2), (2, 3)))).isEmpty)
+    assertTriangles(Seq((0, 1), (1, 2), (2, 3)), Set.empty)
   }
 
   test("triangles: bowtie has two") {
-    val bow = Seq((0, 1), (0, 2), (1, 2), (1, 3), (2, 3))
-    assert(triSet(Triangles.triangles(edgesDF(bow))) == Set((0, 1, 2), (1, 2, 3)))
+    assertTriangles(bowtie, Set((0, 1, 2), (1, 2, 3)))
   }
 
   test("triangles match DuckDB on a random graph") {
-    val g = TestNets.randomNet(new Random(31))
-    val df = edgesDF(g.edges)
-    Oracle.assertEquivalent(
-      Triangles.triangles(df),
-      """WITH e AS (SELECT CAST(src AS INT) s, CAST(dst AS INT) d FROM edges)
-        |SELECT e1.s AS a, e1.d AS b, e2.d AS c
-        |FROM e e1
-        |JOIN e e2 ON e1.d = e2.s
-        |JOIN e e3 ON e3.s = e1.s AND e3.d = e2.d""".stripMargin,
-      "edges" -> df,
-    )
+    val rnd = new Random(31)
+    val counts = for (_ <- 0 until 5) yield {
+      val g = TestNets.randomNet(rnd)
+      val es = g.edges.toSet
+      val brute = for {
+        a <- 0 until g.n; b <- (a + 1) until g.n if es((a, b)); c <- (b + 1) until g.n
+        if es((a, c)) && es((b, c))
+      } yield (a, b, c)
+      assertTriangles(g.edges, brute.toSet)
+      brute.length
+    }
+    assert(counts.sum > 0)
   }
 
   test("edgeCohesion with unit frequencies counts triangles per edge") {
-    val bow = Seq((0, 1), (0, 2), (1, 2), (1, 3), (2, 3))
-    val f = freqDF((0 to 3).map(_ -> 1.0).toMap)
-    val eco = Triangles.edgeCohesion(edgesDF(bow), f)
-      .collect().map(r => ((r.getInt(0), r.getInt(1)), r.getDouble(2))).toMap
-    assert(eco == Map((0, 1) -> 1.0, (0, 2) -> 1.0, (1, 2) -> 2.0, (1, 3) -> 1.0, (2, 3) -> 1.0))
+    val expected = Map((0, 1) -> 1.0, (0, 2) -> 1.0, (1, 2) -> 2.0, (1, 3) -> 1.0, (2, 3) -> 1.0)
+    assert(sqlCohesion(bowtie, (0 to 3).map(_ -> 1.0).toMap) == expected)
+    assert(kernelCohesion(bowtie, _ => 1.0) == expected)
   }
 
   test("edgeCohesion: triangle-free edges present with cohesion 0") {
     val es = Seq((0, 1), (1, 2), (0, 2), (2, 3))
-    val f = freqDF((0 to 3).map(_ -> 1.0).toMap)
-    val eco = Triangles.edgeCohesion(edgesDF(es), f)
-      .collect().map(r => ((r.getInt(0), r.getInt(1)), r.getDouble(2))).toMap
+    val eco = sqlCohesion(es, (0 to 3).map(_ -> 1.0).toMap)
     assert(eco((2, 3)) == 0.0)
     assert(eco.size == 4)
+    // The kernel drops the edge at α = 0: its cohesion is not above 0.
+    assert(kernelCohesion(es, _ => 1.0) == eco - ((2, 3)))
   }
 
   test("edgeCohesion takes the min frequency over the triangle corners") {
-    val f = freqDF(Map(0 -> 0.9, 1 -> 0.5, 2 -> 0.3))
-    val eco = Triangles.edgeCohesion(edgesDF(Seq((0, 1), (0, 2), (1, 2))), f)
-      .collect().map(r => ((r.getInt(0), r.getInt(1)), r.getDouble(2))).toMap
-    assert(eco.values.forall(v => math.abs(v - 0.3) < 1e-12))
+    val f = Map(0 -> 0.9, 1 -> 0.5, 2 -> 0.3)
+    val tri = Seq((0, 1), (0, 2), (1, 2))
+    for (eco <- Seq(sqlCohesion(tri, f), kernelCohesion(tri, f))) {
+      assert(eco.size == 3)
+      assert(eco.values.forall(v => math.abs(v - 0.3) < 1e-12))
+    }
   }
 
   test("edgeCohesion matches the Example 3.2 arithmetic") {
     // e12 in triangles {1,2,3} and {1,2,5}: eco = min(f1,f2,f3) + min(f1,f2,f5).
     val es = Seq((1, 2), (1, 3), (2, 3), (1, 5), (2, 5))
-    val f = freqDF(Map(1 -> 0.5, 2 -> 0.4, 3 -> 0.1, 5 -> 0.1))
-    val eco = Triangles.edgeCohesion(edgesDF(es), f)
-      .collect().map(r => ((r.getInt(0), r.getInt(1)), r.getDouble(2))).toMap
-    assert(math.abs(eco((1, 2)) - 0.2) < 1e-12)
+    val f = Map(1 -> 0.5, 2 -> 0.4, 3 -> 0.1, 5 -> 0.1)
+    for (eco <- Seq(sqlCohesion(es, f), kernelCohesion(es, f)))
+      assert(math.abs(eco((1, 2)) - 0.2) < 1e-12)
   }
 
   test("edgeCohesion matches local from-scratch computation on random graphs") {
@@ -94,42 +113,23 @@ class TrianglesSuite extends SparkSpec {
     for (_ <- 0 until 3) {
       val g = TestNets.randomNet(rnd)
       val fArr = Array.fill(g.n)(rnd.nextInt(11) / 10.0)
-      val eco = Triangles.edgeCohesion(edgesDF(g.edges), freqDF(fArr.indices.map(i => i -> fArr(i)).toMap))
-        .collect().map(r => (LocalTruss.ekey(r.getInt(0), r.getInt(1)), r.getDouble(2))).toMap
-      // from-scratch local cohesion
       val adj = g.edges.flatMap { case (u, v) => Seq(u -> v, v -> u) }
         .groupBy(_._1).view.mapValues(_.map(_._2).toSet).toMap
-      for ((u, v) <- g.edges) {
-        val common = adj(u) intersect adj(v)
-        val expect = common.toSeq.map(w => Seq(fArr(u), fArr(v), fArr(w)).min).sum
-        assert(math.abs(eco(LocalTruss.ekey(u, v)) - expect) < 1e-9, s"edge ($u,$v)")
-      }
+      val scratch = g.edges.map { case (u, v) =>
+        (u, v) -> (adj(u) intersect adj(v)).toSeq.map(w => Seq(fArr(u), fArr(v), fArr(w)).min).sum
+      }.toMap
+      assert(close(sqlCohesion(g.edges, fArr.indices.map(i => i -> fArr(i)).toMap), scratch))
+      assert(close(kernelCohesion(g.edges, fArr(_)), scratch.filter(_._2 > 0)))
     }
   }
 
   test("edgeCohesion matches DuckDB end-to-end") {
     val g = TestNets.randomNet(new Random(33))
-    val df = edgesDF(g.edges)
-    val f = freqDF((0 until g.n).map(i => i -> ((i % 10) / 10.0 + 0.1)).toMap)
-    Oracle.assertEquivalent(
-      Triangles.edgeCohesion(df, f),
-      """WITH e AS (SELECT CAST(src AS INT) s, CAST(dst AS INT) d FROM edges),
-        |     f AS (SELECT CAST(vertexId AS INT) v, CAST(freq AS DOUBLE) fr FROM freqs),
-        |     t AS (SELECT e1.s a, e1.d b, e2.d c
-        |           FROM e e1 JOIN e e2 ON e1.d = e2.s
-        |                     JOIN e e3 ON e3.s = e1.s AND e3.d = e2.d),
-        |     tm AS (SELECT a, b, c, LEAST(fa.fr, fb.fr, fc.fr) m
-        |            FROM t JOIN f fa ON fa.v = a
-        |                   JOIN f fb ON fb.v = b
-        |                   JOIN f fc ON fc.v = c),
-        |     contrib AS (SELECT a s, b d, m FROM tm
-        |                 UNION ALL SELECT a, c, m FROM tm
-        |                 UNION ALL SELECT b, c, m FROM tm),
-        |     agg AS (SELECT s, d, SUM(m) x FROM contrib GROUP BY s, d)
-        |SELECT e.s AS src, e.d AS dst, COALESCE(agg.x, 0.0) AS eco
-        |FROM e LEFT JOIN agg ON agg.s = e.s AND agg.d = e.d""".stripMargin,
-      "edges" -> df,
-      "freqs" -> f,
-    )
+    val f = (0 until g.n).map(i => i -> ((i % 10) / 10.0 + 0.1)).toMap
+    val t = LocalTruss.mptd(g.edges, f, 0.0)
+    assert(!t.isEmpty)
+    Oracle.assertSameRows(
+      t.edges.zip(t.cohesions).map { case ((u, v), c) => Seq(u, v, c) },
+      Oracle.query(s"SELECT * FROM (${NetworkSql.edgeCohesion}) WHERE eco > 0", NetworkSql.edgeTables(g.edges, f): _*))
   }
 }

@@ -15,7 +15,7 @@ class ExperimentsSuite extends SparkSpec {
   )
 
   test("table2 reports positive statistics for every dataset") {
-    val rows = Experiments.table2(spark, tinyDatasets)
+    val rows = Experiments.table2(tinyDatasets)
     assert(rows.map(_.name) == Seq("BK", "AMINER"))
     for (r <- rows) {
       assert(r.stats.nVertices > 0 && r.stats.nEdges > 0)

@@ -2,7 +2,7 @@ package repro.index
 
 import repro.core._
 import repro.netgen.NetGen
-import repro.{SparkSpec, TestNets}
+import repro.{NetworkSql, Oracle, SparkSpec, TestNets}
 
 /** TC-Tree construction (Algorithm 4) and query answering (Algorithm 5)
   * against direct mining with TCFA/TCFI and direct MPTD recomputation.
@@ -251,37 +251,34 @@ class TCTreeSuite extends SparkSpec {
     intercept[IllegalArgumentException](TCTree.serial(plantedCompact, maxDepth = 0))
   }
 
-  test("tie rule: at alpha = each stored threshold, trussAt, mptd and DistributedMPTD agree") {
-    import spark.implicits._
+  test("tie rule: at alpha = each stored threshold, trussAt, mptd and the SQL peel agree") {
     // Case (node, β_k, C*_p(β_{k−1})): β_k is the least cohesion in C*_p(β_{k−1}).
     val cases = for {
       node <- plantedTree.nodes
       (beta, k) <- node.decomp.nodes.map(_._1).zipWithIndex
     } yield (node, beta, node.trussAt(if (k == 0) 0.0 else node.decomp.nodes(k - 1)._1))
-    // DistributedMPTD takes one α per run, and a run per case would take
-    // minutes. Cohesion is linear in the frequencies, so case i runs as
-    // vertex block i of one disjoint union at α = 1 with frequencies
-    // scaled by 1/β: an edge ties at 1 there exactly when it ties at β.
-    // Each case starts from C*_p(β_{k−1}), which contains C*_p(β_k).
+    // The SQL peel takes one α per run. Cohesion is linear in the
+    // frequencies, so case i runs as vertex block i of one disjoint union at
+    // α = 1 with frequencies scaled by 1/β: an edge ties at 1 there exactly
+    // when it ties at β. Each case starts from C*_p(β_{k−1}), which contains
+    // C*_p(β_k).
     val n = plantedCompact.n
     val edges = Vector.newBuilder[(Int, Int)]
     val freqs = Vector.newBuilder[(Int, Double)]
-    val expected = for (((node, beta, base), i) <- cases.zipWithIndex) yield {
+    val direct = for (((node, beta, base), i) <- cases.zipWithIndex) yield {
       val f: Int => Double = plantedCompact.freq(_, node.pattern)
-      val fromTree = node.trussAt(beta).toSet
-      val direct = LocalTruss.mptd(LocalTruss.themeInduce(plantedCompact.edgeList, f), f, beta)
-      assert(direct.edges.toSet == fromTree, s"${Pattern.key(node.pattern)} beta=$beta")
       edges ++= base.map { case (u, v) => (i * n + u, i * n + v) }
       freqs ++= base.flatMap(e => Seq(e._1, e._2)).distinct.map(v => (i * n + v, f(v) / beta))
-      fromTree
+      LocalTruss.mptd(LocalTruss.themeInduce(plantedCompact.edgeList, f), f, beta).edges.toSet
     }
-    val got = DistributedMPTD.run(edges.result().toDF("src", "dst"), freqs.result().toDF("vertexId", "freq"), 1.0)
-      .select("src", "dst").collect()
-      .map(r => (r.getInt(0), r.getInt(1)))
+    val got = NetworkSql.edgeSet(Oracle.withDb(NetworkSql.edgeTables(edges.result(), freqs.result()): _*)(NetworkSql.mptd(_, 1.0)))
       .groupBy(_._1 / n)
-      .map { case (i, es) => i -> es.map { case (u, v) => (u - i * n, v - i * n) }.toSet }
-    for (((node, beta, _), i) <- cases.zipWithIndex)
-      assert(got.getOrElse(i, Set.empty) == expected(i), s"${Pattern.key(node.pattern)} beta=$beta")
+      .map { case (i, es) => i -> es.map { case (u, v) => (u - i * n, v - i * n) } }
+    for (((node, beta, _), i) <- cases.zipWithIndex) {
+      val what = s"${Pattern.key(node.pattern)} beta=$beta"
+      assert(got.getOrElse(i, Set.empty) == direct(i), what)
+      assert(node.trussAt(beta).toSet == direct(i), what)
+    }
   }
 
   test("tree of an edgeless network is empty") {

@@ -1,12 +1,13 @@
 package repro.netgen
 
-import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.core.NetworkStats
+import repro.{NetworkSql, Oracle}
 
 /** Generators: determinism, structural validity, planted-pattern strength,
   * the SYN recipe's degree-driven database sizes, and BFS sampling.
   */
-class NetGenSuite extends SparkSpec {
+class NetGenSuite extends AnyFunSuite {
 
   private def validate(g: GenNet): Unit = {
     assert(g.txs.length == g.n)
@@ -110,41 +111,28 @@ class NetGenSuite extends SparkSpec {
     for ((_, members) <- a.groundTruth; m <- members) assert(m >= 0 && m < a.n)
   }
 
-  test("toDF/compact agree with each other on vertex, edge and tx counts") {
-    val g = NetGen.aminerLike(100, 6, 40, seed = 11)
-    val df = g.toDF(spark)
-    val c = g.compact
-    assert(df.vertices.count() == c.n)
-    assert(df.edges.count() == c.nEdges)
-    val s = df.stats
-    assert(s.nTransactions == g.txs.map(_.size).sum)
-    assert(s.nItemsTotal == g.txs.map(_.map(_.distinct.size).sum).sum)
-  }
-
   test("Table 2 statistics match DuckDB over the transactions table") {
-    val g = NetGen.bkLike(150, seed = 12)
-    val net = g.toDF(spark)
-    val sparkStats = net.transactions.agg(
-      countDistinct(concat_ws("|", col("vertexId"), col("txId"))) as "nTx",
-      count(lit(1)) as "itemsTotal",
-      countDistinct(col("item")) as "itemsUnique",
-    )
-    Oracle.assertEquivalent(
-      sparkStats,
-      """SELECT COUNT(DISTINCT vertexId || '|' || txId) AS nTx,
-        |       COUNT(*) AS itemsTotal,
-        |       COUNT(DISTINCT item) AS itemsUnique
-        |FROM transactions""".stripMargin,
-      "transactions" -> net.transactions,
-    )
+    // Edges twice, reversed and as self-loops; an item twice in one
+    // transaction; empty transactions and an empty database.
+    val hand = GenNet(4, Vector((0, 1), (1, 0), (1, 2), (2, 2), (0, 1)),
+                      Vector(Vector(Vector(0, 0, 1), Vector.empty), Vector(Vector(1)), Vector.empty, Vector(Vector(2, 0))))
+    assert(hand.compact.stats == NetworkStats(4, 2, 3, 5, 3))
+    for (g <- Seq(hand, NetGen.bkLike(150, seed = 12), NetGen.aminerLike(100, 6, 40, seed = 11))) {
+      val s = g.compact.stats
+      NetworkSql.withNetwork(g) { db =>
+        Oracle.assertSameRows(Seq(Seq(s.nVertices, s.nEdges, s.nTransactions, s.nItemsTotal, s.nItemsUnique)),
+                              db.query(NetworkSql.stats))
+      }
+    }
   }
 
   test("stats helper equals the raw aggregation") {
     val g = NetGen.gwLike(150, seed = 13)
-    val net = g.toDF(spark)
-    val s = net.stats
+    val s = g.compact.stats
     assert(s.nVertices == g.n)
     assert(s.nEdges == g.nEdges)
+    assert(s.nTransactions == g.txs.map(_.size).sum)
+    assert(s.nItemsTotal == g.txs.map(_.map(_.distinct.size).sum).sum)
     assert(s.nItemsUnique == g.txs.flatMap(_.flatten).distinct.size)
   }
 
