@@ -16,7 +16,7 @@ class Fig3ParamSweepBench extends SparkSpec {
 
   test("Figure 3 sweep on BK (sampled)") {
     val rows = Experiments.fig3(spark, bkSample,
-      alphas = Seq(0.0, 0.1, 0.3, 0.5, 1.0, 2.0), epss = Seq(0.1, 0.2, 0.3), maxLen = 5)
+      alphas = Seq(0.0, 0.1, 0.3, 0.5, 1.0, 2.0), epss = Seq(0.1, 0.2, 0.3))
     println(s"== Figure 3 on BK (sampled ${bkSample.nEdges} edges) ==")
     println(Experiments.formatMinerRows(rows))
 
@@ -49,7 +49,7 @@ class Fig3ParamSweepBench extends SparkSpec {
 
   test("Figure 3 sweep on AMINER (sampled)") {
     val rows = Experiments.fig3(spark, amSample,
-      alphas = Seq(0.0, 0.3, 1.0), epss = Seq(0.1, 0.3), maxLen = 5)
+      alphas = Seq(0.0, 0.3, 1.0), epss = Seq(0.1, 0.3))
     println(s"== Figure 3 on AMINER (sampled ${amSample.nEdges} edges) ==")
     println(Experiments.formatMinerRows(rows))
     for ((a, rs) <- rows.groupBy(_.alpha)) {

@@ -14,7 +14,7 @@ class Fig4ScalabilityBench extends SparkSpec {
   test("Figure 4 scalability on BK") {
     val base = NetGen.bkLike()
     val sizes = Seq(500, 1000, 2000, 4000)
-    val rows = Experiments.fig4(spark, base, sizes, maxLen = 5,
+    val rows = Experiments.fig4(spark, base, sizes,
                                 tcsCutoff = 2000, tcfaCutoff = 4000)
     println("== Figure 4 on BK ==")
     println(Experiments.formatFig4(rows))
@@ -35,7 +35,7 @@ class Fig4ScalabilityBench extends SparkSpec {
   test("Figure 4 scalability on AMINER") {
     val base = NetGen.aminerLike()
     val sizes = Seq(500, 1000, 2000)
-    val rows = Experiments.fig4(spark, base, sizes, maxLen = 5,
+    val rows = Experiments.fig4(spark, base, sizes,
                                 tcsCutoff = 1000, tcfaCutoff = 2000)
     println("== Figure 4 on AMINER ==")
     println(Experiments.formatFig4(rows))

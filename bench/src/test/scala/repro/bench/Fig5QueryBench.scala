@@ -15,7 +15,7 @@ class Fig5QueryBench extends SparkSpec {
 
   private def runOn(name: String, net: repro.netgen.GenNet): Unit = {
     val compact = net.compact
-    val tree = TCTree.build(spark, compact, maxDepth = 8)
+    val tree = TCTree.build(spark, compact)
     println(s"== Figure 5 on $name: ${tree.nNodes} TC-Tree nodes, alpha* = ${tree.alphaStar} ==")
 
     val qba = Experiments.fig5Qba(tree, compact.items.toSet)

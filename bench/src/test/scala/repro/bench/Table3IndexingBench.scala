@@ -9,7 +9,7 @@ import repro.harness.Experiments
 class Table3IndexingBench extends SparkSpec {
 
   test("Table 3: TC-Tree indexing performance") {
-    val rows = Experiments.table3(spark, maxDepth = 8)
+    val rows = Experiments.table3(spark)
     println("== Table 3: indexing performance of TC-Tree ==")
     println(Experiments.formatTable3(rows))
 

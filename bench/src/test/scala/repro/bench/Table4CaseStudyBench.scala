@@ -25,7 +25,7 @@ class Table4CaseStudyBench extends SparkSpec {
   }
 
   test("Figure 6(a)-(b): adding a keyword shrinks the theme community") {
-    val r = TCFI.run(spark, net.compact, 0.3, maxLen = 4)
+    val r = TCFI.run(spark, net.compact, 0.3)
     val nested = for {
       p <- r.trusses.keys.toSeq if p.length >= 2
       sub <- Pattern.subPatternsDropOne(p)
@@ -41,7 +41,7 @@ class Table4CaseStudyBench extends SparkSpec {
   }
 
   test("Figure 6(e)-(f): overlapping communities with different themes exist") {
-    val r = TCFI.run(spark, net.compact, 0.3, maxLen = 4)
+    val r = TCFI.run(spark, net.compact, 0.3)
     val comms = r.communities.filter(_._1.length >= 2)
     val overlapping = (for {
       i <- comms.indices.iterator

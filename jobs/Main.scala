@@ -75,7 +75,7 @@ object Main {
     "fig5" -> (() => withSpark("fig5-query") { spark =>
       for (spec <- Experiments.benchDatasets) {
         val compact = spec.gen().compact
-        val tree = TCTree.build(spark, compact, maxDepth = 10)
+        val tree = TCTree.build(spark, compact)
         println(s"== Figure 5 on ${spec.name}: ${tree.nNodes} TC-Tree nodes ==")
         println("-- QBA --")
         println(Experiments.formatQba(Experiments.fig5Qba(tree, compact.items.toSet)))

@@ -226,16 +226,8 @@ object LocalTruss {
     * over `Array[Int]` joins them.
     */
   def components(keys: Array[Long], from: Int, until: Int): Vector[Set[Int]] = {
-    val m = until - from
-    val ends = new Array[Int](2 * m)
-    for (i <- 0 until m) { ends(2 * i) = (keys(from + i) >> 32).toInt; ends(2 * i + 1) = keys(from + i).toInt }
-    java.util.Arrays.sort(ends)
-    var n = 0
-    var i = 0
-    while (i < ends.length) {
-      if (i == 0 || ends(i) != ends(i - 1)) { ends(n) = ends(i); n += 1 }
-      i += 1
-    }
+    val ends = endpoints(keys, from, until)
+    val n = ends.length
     val root = Array.tabulate(n)(identity)
     def find(x: Int): Int = {
       var r = x
@@ -244,9 +236,9 @@ object LocalTruss {
       while (root(c) != r) { val nx = root(c); root(c) = r; c = nx }
       r
     }
-    for (e <- 0 until m) {
-      val ru = find(java.util.Arrays.binarySearch(ends, 0, n, (keys(from + e) >> 32).toInt))
-      val rv = find(java.util.Arrays.binarySearch(ends, 0, n, keys(from + e).toInt))
+    for (e <- from until until) {
+      val ru = find(java.util.Arrays.binarySearch(ends, (keys(e) >> 32).toInt))
+      val rv = find(java.util.Arrays.binarySearch(ends, keys(e).toInt))
       if (ru < rv) root(rv) = ru else if (rv < ru) root(ru) = rv
     }
     // Each root is the least label, i.e. the least vertex, of its

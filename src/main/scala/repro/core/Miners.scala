@@ -25,7 +25,7 @@ final case class MinerStats(
 /** Result of a miner run: every non-empty maximal pattern truss keyed by its
   * pattern, plus the run counters. NP/NV/NE follow the paper's metrics: NP is
   * the number of maximal pattern trusses; NV (NE) counts a vertex (edge) once
-  * per truss containing it. TCFA and TCFI return a `TrussMap`, which builds
+  * per truss containing it. Every miner returns a `TrussMap`, which builds
   * a fresh `Truss` on each access.
   */
 final case class MiningResult(trusses: Map[Vector[Int], Truss], stats: MinerStats) {
@@ -69,19 +69,22 @@ private[repro] object MinerOps {
 
   /** A length cap below 1 would cut level 1 itself; checked on the driver. */
   def requireMaxLen(maxLen: Int): Unit = require(maxLen >= 1, s"maxLen must be >= 1, got $maxLen")
-
-  def slices(spark: SparkSession, nTasks: Int): Int =
-    math.max(1, math.min(nTasks, spark.sparkContext.defaultParallelism * 2))
 }
 
 /** Theme Community Scanner (Section 4.2) — the baseline. Enumerates, per
-  * vertex database, every pattern with frequency > ε (distributed over
-  * vertices), then runs MPTD on each candidate's theme network (distributed
-  * over patterns). Trades accuracy for speed: a pattern below ε on every
-  * vertex is never examined even if it forms a dense truss. Pattern length
-  * is uncapped unless `maxLen` is given; a capped result is flagged
-  * `truncated` when a candidate has `maxLen` items, since the per-vertex
-  * enumeration stopped there.
+  * vertex database, every pattern with frequency > ε, then runs MPTD on
+  * each candidate's theme network. Trades accuracy for speed: a pattern
+  * below ε on every vertex is never examined even if it forms a dense
+  * truss. Pattern length is uncapped unless `maxLen` is given; a capped
+  * result is flagged `truncated` when a candidate has `maxLen` items, since
+  * the per-vertex enumeration stopped there.
+  *
+  * Two jobs on the `Levelwise` executor. The first runs over ranges of
+  * vertices; each task returns the distinct candidates of its vertices,
+  * and the driver merges them into one sorted `PatternSet` per width. The
+  * candidates are downward closed, so the widths run 1..L with no gaps.
+  * The second runs `Levelwise.seed` over ranges cut within each width and
+  * returns one level of `Rows` per width.
   */
 object TCS {
   def run(spark: SparkSession, net: CompactNetwork, alpha: Double, eps: Double,
@@ -90,73 +93,50 @@ object TCS {
     MinerOps.requireMaxLen(maxLen)
     require(eps >= 0.0, s"eps must be >= 0, got $eps")
     val t0 = System.nanoTime()
-    val sc = spark.sparkContext
-    val bc = sc.broadcast(net)
-    val candidates = sc
-      .parallelize(0 until net.n, MinerOps.slices(spark, net.n))
-      .flatMap { v =>
-        localFrequentPatterns(bc.value.txs(v).toIndexedSeq, eps, maxLen)
-      }
-      .distinct()
-      .collect()
-    val found = sc
-      .parallelize(candidates.toIndexedSeq, MinerOps.slices(spark, candidates.length))
-      .mapPartitions { ps =>
-        val n = bc.value
-        val ws = new Workspace
-        ps.map { p =>
-          val pa = p.toArray
-          val keys = n.themeKeys(pa, ws)
-          (p, LocalTruss.mptd(keys, keys.length, n.freq(_, pa, ws), alpha, ws))
+    val exec = new Levelwise.SparkExec(spark, net)
+    val levels =
+      try {
+        val found = exec((), Levelwise.cut(Array.tabulate(net.n)(net.txs(_).length.toLong), exec.slots)) {
+          (n, _, from, until) =>
+            val ws = new Workspace
+            val seen = mutable.HashSet.empty[Vector[Int]]
+            for (v <- from until until; level <- localFrequentPatterns(n, v, eps, maxLen, ws); r <- 0 until level.size)
+              seen += level(r)
+            seen.toArray
+        }.flatten
+        val candidates = found.groupBy(_.length).toVector.sortBy(_._1).map { case (w, ps) => PatternSet(w, ps) }
+        val start = candidates.scanLeft(0)(_ + _.size)
+        val ranges = candidates.indices.flatMap { k =>
+          Levelwise.cut(Array.fill(candidates(k).size)(1L), exec.slots).map { case (a, b) => (start(k) + a, start(k) + b) }
         }
-      }
-      .filter(!_._2.isEmpty)
-      .collect()
-    bc.destroy()
+        val rows = exec(candidates, ranges) { (n, cs, from, until) =>
+          val k = start.lastIndexWhere(_ <= from)
+          Levelwise.seed(n, cs(k), from - start(k), until - start(k), alpha)
+        }
+        candidates.map(ps => Levelwise.Rows.concat(ps.width, rows.filter(_.patterns.width == ps.width)))
+      } finally exec.close()
     val ms = (System.nanoTime() - t0) / 1000000
-    MiningResult(found.toMap, MinerStats(candidates.length.toLong, candidates.length.toLong, 0L, ms,
-                                         truncated = candidates.exists(_.length >= maxLen)))
+    val nCandidates = levels.map(_.candidates).sum
+    MiningResult(new TrussMap(levels), MinerStats(nCandidates, nCandidates, 0L, ms, truncated = levels.length >= maxLen))
   }
 
-  /** All patterns p with f_v(p) > eps in the one vertex database `db`, up
-    * to `maxLen` items: depth-first search over sorted items with tid-list
-    * intersection. The frequency threshold is anti-monotone, so pruning is
-    * exact.
+  /** Algorithm 2 on the one database of vertex `v`: the patterns p with
+    * f_v(p) > eps, up to `maxLen` items, as one sorted `PatternSet` per
+    * width from 1 on. Level 1 is v's items above eps; level k + 1 joins
+    * level k and keeps the candidates above eps. The threshold is
+    * anti-monotone, so the levels hold every such pattern.
     */
-  def localFrequentPatterns(db: IndexedSeq[Array[Int]], eps: Double, maxLen: Int): Vector[Vector[Int]] = {
-    val nTx = db.length
-    if (nTx == 0) return Vector.empty
-    val tid = mutable.Map.empty[Int, mutable.ArrayBuffer[Int]]
-    for ((t, ti) <- db.zipWithIndex; item <- t.distinct)
-      tid.getOrElseUpdate(item, mutable.ArrayBuffer.empty) += ti
-    val items = tid.keys.toArray.sorted
-    val out = Vector.newBuilder[Vector[Int]]
-    def dfs(prefix: Vector[Int], prefixTids: Array[Int], startIdx: Int): Unit = {
-      var i = startIdx
-      while (i < items.length) {
-        val it = items(i)
-        val itTids = tid(it).toArray
-        val merged =
-          if (prefix.isEmpty) itTids
-          else {
-            val b = Array.newBuilder[Int]
-            var x = 0; var y = 0
-            while (x < prefixTids.length && y < itTids.length) {
-              if (prefixTids(x) == itTids(y)) { b += prefixTids(x); x += 1; y += 1 }
-              else if (prefixTids(x) < itTids(y)) x += 1
-              else y += 1
-            }
-            b.result()
-          }
-        if (merged.length.toDouble / nTx > eps) {
-          val p = prefix :+ it
-          out += p
-          if (p.length < maxLen) dfs(p, merged, i + 1)
-        }
-        i += 1
-      }
+  private[core] def localFrequentPatterns(net: CompactNetwork, v: Int, eps: Double, maxLen: Int,
+                                          ws: Workspace): Vector[PatternSet] = {
+    val out = Vector.newBuilder[PatternSet]
+    var level = new PatternSet(1, net.txItems(v).filter(i => net.freq(v, Array(i), ws) > eps))
+    while (level.size > 0) {
+      out += level
+      val next = new mutable.ArrayBuilder.ofInt
+      if (level.width < maxLen)
+        for (r <- 0 until level.size) level.join(r)((_, c) => if (net.freq(v, c, ws) > eps) next ++= c)
+      level = new PatternSet(level.width + 1, next.result())
     }
-    dfs(Vector.empty, Array.empty, 0)
     out.result()
   }
 }
@@ -269,9 +249,9 @@ private[repro] object Levelwise {
   }
 
   /** Runs `task(net, shared, from, until)` over contiguous ranges of units
-    * and returns the results in range order. `TCTree.build` runs its two
-    * jobs on the same executors. A task that calls the kernels creates its
-    * own `Workspace`.
+    * and returns the results in range order. `TCS` and `TCTree.build` run
+    * their two jobs on the same executors. A task that calls the kernels
+    * creates its own `Workspace`.
     */
   trait Exec {
     /** How many ranges a job is cut into. */
@@ -338,8 +318,8 @@ private[repro] object Levelwise {
 
     // Level 1 (Algorithm 3 line 1): MPTD on every single-item theme network.
     val items = net.items
-    var level = runLevel(1, items, Array.fill(items.length)(1L)) {
-      (n, its, from, until) => seed(n, its, from, until, alpha)
+    var level = runLevel(1, new PatternSet(1, items), Array.fill(items.length)(1L)) {
+      (n, ps, from, until) => seed(n, ps, from, until, alpha)
     }
     var k = 2
     while (level.size > 0 && k <= maxLen) {
@@ -360,12 +340,14 @@ private[repro] object Levelwise {
                             truncated))
   }
 
-  /** Level-1 task: MPTD on the theme network of each item `items(from until until)`. */
-  private def seed(net: CompactNetwork, items: Array[Int], from: Int, until: Int, alpha: Double): Rows = {
-    val out = new RowsBuilder(1)
+  /** Task of level 1 and of TCS: MPTD on the theme network of each pattern
+    * `ps(from until until)`, induced from the full network.
+    */
+  private[core] def seed(net: CompactNetwork, ps: PatternSet, from: Int, until: Int, alpha: Double): Rows = {
+    val out = new RowsBuilder(ps.width)
     val ws = new Workspace
-    for (i <- from until until) {
-      val p = Array(items(i))
+    for (r <- from until until) {
+      val p = java.util.Arrays.copyOfRange(ps.items, r * ps.width, (r + 1) * ps.width)
       val keys = net.themeKeys(p, ws)
       out.detect(net, p, keys, keys.length, alpha, ws)
     }

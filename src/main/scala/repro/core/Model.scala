@@ -40,7 +40,7 @@ final case class CompactNetwork(
   def nEdges: Int = edgeList.length
 
   /** Per vertex, its distinct items in ascending order. */
-  @transient private lazy val txItems: Array[Array[Int]] =
+  @transient private[core] lazy val txItems: Array[Array[Int]] =
     txs.map(db => db.iterator.flatMap(_.iterator).toArray.distinct.sorted)
 
   /** Per vertex, parallel to `txItems`: the ascending indices of the

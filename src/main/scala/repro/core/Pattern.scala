@@ -30,14 +30,6 @@ object Pattern {
   def subPatternsDropOne(p: Vector[Int]): Seq[Vector[Int]] =
     p.indices.map(i => p.patch(i, Nil, 1))
 
-  /** All non-empty sub-patterns of `p` (2^|p| − 1 of them). Small |p| only. */
-  def allSubPatterns(p: Vector[Int]): Seq[Vector[Int]] = {
-    require(p.length <= 20, s"pattern too long to enumerate: ${p.length}")
-    (1 until (1 << p.length)).map { mask =>
-      p.indices.collect { case i if (mask & (1 << i)) != 0 => p(i) }.toVector
-    }
-  }
-
   /** Algorithm 2 (Generate Apriori Candidate Patterns).
     *
     * Joins every pair of length-(k−1) qualified patterns whose union has

@@ -59,7 +59,7 @@ object Experiments {
     * heap after the build minus settled heap before it), and #nodes.
     */
   def table3(spark: SparkSession, datasets: Seq[DatasetSpec] = benchDatasets,
-             maxDepth: Int = 10): Seq[Table3Row] =
+             maxDepth: Int = Int.MaxValue): Seq[Table3Row] =
     datasets.map { d =>
       val net = d.gen().compact
       val before = settledHeap()

@@ -72,6 +72,18 @@ object TestNets {
     GenNet(n, edges, txs)
   }
 
+  /** Random networks where about a quarter of the databases are empty and
+    * about one transaction in six is empty.
+    */
+  def sparseNets(seed: Long, k: Int): Seq[GenNet] = {
+    val rnd = new Random(seed)
+    Seq.fill(k) {
+      val g = randomNet(rnd)
+      g.copy(txs = g.txs.map(db =>
+        if (rnd.nextInt(4) == 0) Vector.empty else db.map(t => if (rnd.nextInt(6) == 0) Vector.empty else t)))
+    }
+  }
+
   /** Random frequency assignment in tenths, for pure-graph truss tests. */
   def randomFreqs(rnd: Random, n: Int): Int => Double = {
     val f = Array.fill(n)(rnd.nextInt(11) / 10.0)

@@ -42,18 +42,6 @@ class FrequencySuite extends AnyFunSuite {
   private def themeRows(net: CompactNetwork, p: Vector[Int]): Seq[Seq[Any]] =
     net.themeKeys(p.toArray).toSeq.map(LocalTruss.dekey).map(e => Seq(e._1, e._2))
 
-  /** Random networks where about a quarter of the databases are empty and
-    * about one transaction in six is empty.
-    */
-  private def sparseNets(seed: Long, k: Int): Seq[GenNet] = {
-    val rnd = new Random(seed)
-    Seq.fill(k) {
-      val g = TestNets.randomNet(rnd)
-      g.copy(txs = g.txs.map(db =>
-        if (rnd.nextInt(4) == 0) Vector.empty else db.map(t => if (rnd.nextInt(6) == 0) Vector.empty else t)))
-    }
-  }
-
   /** p = ∅, patterns in S, and patterns with items outside S (−1, 7). */
   private val patterns = Seq(Vector.empty, Vector(0), Vector(1, 2), Vector(0, 3), Vector(0, 1, 2), Vector(-1), Vector(2, 7))
 
@@ -94,7 +82,7 @@ class FrequencySuite extends AnyFunSuite {
   }
 
   test("frequencies agree with CompactNetwork.freq on random networks") {
-    for (g <- sparseNets(21, 10)) {
+    for (g <- TestNets.sparseNets(21, 10)) {
       val c = g.compact
       NetworkSql.withNetwork(g) { db =>
         for (p <- patterns) {
@@ -129,7 +117,7 @@ class FrequencySuite extends AnyFunSuite {
   }
 
   test("themeNetwork matches DuckDB join") {
-    for (g <- sparseNets(23, 10)) {
+    for (g <- TestNets.sparseNets(23, 10)) {
       val c = g.compact
       NetworkSql.withNetwork(g) { db =>
         for (p <- patterns) {

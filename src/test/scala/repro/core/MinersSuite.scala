@@ -154,6 +154,26 @@ class MinersSuite extends SparkSpec {
     assert(r.trusses.keySet == Set(Vector(0)))
   }
 
+  test("TCS equals brute force: every pattern above eps on some vertex, then MPTD on its theme network") {
+    for (g <- TestNets.sparseNets(61, 6); eps <- Seq(0.0, 0.2, 0.5); maxLen <- Seq(2, Int.MaxValue)) {
+      val c = g.compact
+      val what = s"n=${g.n} eps=$eps maxLen=$maxLen"
+      def freq(v: Int, p: Vector[Int]): Double =
+        if (g.txs(v).isEmpty) 0.0 else g.txs(v).count(t => p.forall(t.contains)).toDouble / g.txs(v).length
+      val candidates = (0 until g.n).flatMap { v =>
+        val items = g.txs(v).flatten.distinct.sorted
+        (1 to math.min(items.length, maxLen)).flatMap(items.combinations).filter(freq(v, _) > eps)
+      }.toSet
+      val expected = candidates.iterator
+        .map(p => p -> LocalTruss.mptd(c.themeKeys(p.toArray), c.freq(_, p), 0.0))
+        .filter(!_._2.isEmpty).toMap
+      val got = TCS.run(spark, c, 0.0, eps, maxLen)
+      withClue(what)(assertSameResults(got, MiningResult(expected, got.stats)))
+      assert(got.stats.candidates == candidates.size && got.stats.mptdCalls == candidates.size, what)
+      assert(got.stats.prunedByIntersection == 0 && got.stats.truncated == candidates.exists(_.length >= maxLen), what)
+    }
+  }
+
   // ------------------------------------------------------ exactness at scale
 
   test("TCFA and TCFI produce identical results on the planted network (alpha sweep)") {

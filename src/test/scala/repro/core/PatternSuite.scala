@@ -54,16 +54,6 @@ class PatternSuite extends AnyFunSuite {
     assert(Pattern.subPatternsDropOne(Vector(5)) == Seq(Vector.empty))
   }
 
-  test("allSubPatterns enumerates 2^n - 1 non-empty subsets") {
-    val subs = Pattern.allSubPatterns(Vector(1, 2, 3))
-    assert(subs.length == 7)
-    assert(subs.map(_.toSet).toSet == Set(1, 2, 3).subsets().filter(_.nonEmpty).toSet)
-  }
-
-  test("allSubPatterns keeps canonical order in every subset") {
-    assert(Pattern.allSubPatterns(Vector(2, 5, 9)).forall(p => p == p.sorted))
-  }
-
   test("aprioriJoin on singletons forms all pairs") {
     val cands = Pattern.aprioriJoin(Seq(Vector(1), Vector(2), Vector(3)))
     assert(cands.map(_._1).toSet == Set(Vector(1, 2), Vector(1, 3), Vector(2, 3)))
