@@ -2,40 +2,34 @@ package repro.core
 
 import scala.reflect.ClassTag
 
-/** A maximal pattern truss: its canonical edge keys (`LocalTruss.ekey`) in
-  * ascending order and, parallel to them, the final edge cohesions after
-  * peeling. Only these two primitive arrays are held; edges, the cohesion
-  * map and the vertex set are views derived on each call.
+/** A maximal pattern truss C*_p(α), held as its canonical edge keys
+  * (`LocalTruss.ekey`) in ascending order. Edges and the vertex set are
+  * views derived on each call.
   */
-final class Truss(val keys: Array[Long], val cohesions: Array[Double]) extends Serializable {
-  require(keys.length == cohesions.length, "one cohesion per edge key")
-
+final class Truss(val keys: Array[Long]) extends Serializable {
   def isEmpty: Boolean = keys.isEmpty
   def nEdges: Int = keys.length
 
   /** Canonical (src<dst) edges in ascending order. */
   def edges: Vector[(Int, Int)] = keys.iterator.map(LocalTruss.dekey).toVector
 
-  def cohesion: Map[Long, Double] = keys.iterator.zip(cohesions.iterator).toMap
   def vertices: Set[Int] = edges.iterator.flatMap(e => Iterator(e._1, e._2)).toSet
 
   def nVertices: Int = LocalTruss.endpoints(keys, 0, keys.length).length
-
-  def minCohesion: Double = if (isEmpty) 0.0 else cohesions.min
 
   /** Edge-set intersection with another truss (Proposition 5.3 pruning). */
   def intersectEdges(other: Truss): Vector[(Int, Int)] =
     LocalTruss.intersectKeys(keys, other.keys).iterator.map(LocalTruss.dekey).toVector
 
   override def equals(o: Any): Boolean = o match {
-    case t: Truss => java.util.Arrays.equals(keys, t.keys) && java.util.Arrays.equals(cohesions, t.cohesions)
+    case t: Truss => java.util.Arrays.equals(keys, t.keys)
     case _        => false
   }
-  override def hashCode: Int = java.util.Arrays.hashCode(keys) * 31 + java.util.Arrays.hashCode(cohesions)
+  override def hashCode: Int = java.util.Arrays.hashCode(keys)
 }
 
 object Truss {
-  val empty: Truss = new Truss(Array.emptyLongArray, Array.emptyDoubleArray)
+  val empty: Truss = new Truss(Array.emptyLongArray)
 }
 
 /** The decomposed maximal pattern truss L_p of Section 6.1, held in the
@@ -354,14 +348,13 @@ final class Workspace {
     load(in, n, freq)
     peel(alpha)
     val out = new Array[Long](nLive)
-    val cohesions = new Array[Double](nLive)
     var k = 0
     var e = 0
     while (e < m) {
-      if (live(e)) { out(k) = keys(e); cohesions(k) = eco(e); k += 1 }
+      if (live(e)) { out(k) = keys(e); k += 1 }
       e += 1
     }
-    new Truss(out, cohesions)
+    new Truss(out)
   }
 
   private[core] def decompose(in: Array[Long], n: Int, freq: Int => Double): Decomposition = {

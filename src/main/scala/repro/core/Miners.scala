@@ -172,12 +172,13 @@ object TCFI {
   * Spark job per level, with the level loop on the driver.
   *
   * Level 1 runs MPTD on every single-item theme network. Level k ≥ 2 reads
-  * the qualified (k−1)-patterns as a sorted `PatternSet`, broadcast with,
-  * for TCFI, the sorted edge keys of each pattern's C*_p(α). The unit of
-  * work is one parent with its later prefix-class mates (Zaki's Eclat class,
-  * the unit `TCTree.build` also uses): the Algorithm 2 join, the binary
-  * search for the other sub-patterns, the TCFI intersection (a linear merge)
-  * and MPTD all run in the task that owns the parent. Tasks take contiguous
+  * level k−1 broadcast as it is: the `Rows` of the qualified (k−1)-patterns,
+  * a sorted `PatternSet` with the sorted edge keys of each pattern's
+  * C*_p(α), which TCFI intersects and TCFA leaves unread. The unit of work
+  * is one parent with its later prefix-class mates (Zaki's Eclat class, the
+  * unit `TCTree.build` also uses): the Algorithm 2 join, the binary search
+  * for the other sub-patterns, the TCFI intersection (a linear merge) and
+  * MPTD all run in the task that owns the parent. Tasks take contiguous
   * parent ranges cut at equal pair counts and return primitive `Rows`.
   * Since the set is sorted and the ranges are contiguous, the rows come back
   * sorted: the driver only concatenates them into the next level, and the
@@ -210,23 +211,17 @@ private[repro] object Levelwise {
 
   /** Qualified patterns of one level, or one task's share of them, as
     * primitive rows in pattern order: row r is pattern r of `patterns`, with
-    * the sorted edge keys of its truss and their cohesions at
-    * `from(r) until ends(r)`. The counters cover every candidate examined.
+    * the sorted edge keys of its truss at `from(r) until ends(r)`. The
+    * counters cover every candidate examined. A level's rows are also what
+    * the next level's tasks read.
     */
   final class Rows(val patterns: PatternSet, val ends: Array[Int], val keys: Array[Long],
-                   val cohesions: Array[Double], val candidates: Long, val mptdCalls: Long, val pruned: Long)
+                   val candidates: Long, val mptdCalls: Long, val pruned: Long)
       extends Serializable {
     def size: Int = patterns.size
     def from(r: Int): Int = if (r == 0) 0 else ends(r - 1)
 
-    def truss(r: Int): Truss =
-      new Truss(java.util.Arrays.copyOfRange(keys, from(r), ends(r)),
-                java.util.Arrays.copyOfRange(cohesions, from(r), ends(r)))
-
-    /** These rows as the next level's tasks read them, edge keys only if asked. */
-    def parents(withKeys: Boolean): Parents =
-      if (withKeys) new Parents(patterns, ends, keys)
-      else new Parents(patterns, Array.emptyIntArray, Array.emptyLongArray)
+    def truss(r: Int): Truss = new Truss(java.util.Arrays.copyOfRange(keys, from(r), ends(r)))
   }
 
   object Rows {
@@ -236,16 +231,9 @@ private[repro] object Levelwise {
       var base = 0
       for (b <- blocks) { b.ends.foreach(e => ends += base + e); base += b.keys.length }
       new Rows(new PatternSet(width, Array.concat(blocks.map(_.patterns.items): _*)), ends.result(),
-               Array.concat(blocks.map(_.keys): _*), Array.concat(blocks.map(_.cohesions): _*),
+               Array.concat(blocks.map(_.keys): _*),
                blocks.map(_.candidates).sum, blocks.map(_.mptdCalls).sum, blocks.map(_.pruned).sum)
     }
-  }
-
-  /** A level as the next level's tasks read it: its patterns and, for TCFI,
-    * the sorted edge keys of each pattern's truss at `from(r) until ends(r)`.
-    */
-  final class Parents(val patterns: PatternSet, val ends: Array[Int], val keys: Array[Long]) extends Serializable {
-    def from(r: Int): Int = if (r == 0) 0 else ends(r - 1)
   }
 
   /** Runs `task(net, shared, from, until)` over contiguous ranges of units
@@ -323,7 +311,7 @@ private[repro] object Levelwise {
     }
     var k = 2
     while (level.size > 0 && k <= maxLen) {
-      level = runLevel(k, level.parents(useIntersection), level.patterns.laterInClass.map(_.toLong)) {
+      level = runLevel(k, level, level.patterns.laterInClass.map(_.toLong)) {
         (n, ps, from, until) => grow(n, ps, from, until, alpha, useIntersection)
       }
       k += 1
@@ -354,13 +342,14 @@ private[repro] object Levelwise {
     out.result()
   }
 
-  /** Level-k task, k ≥ 2: Algorithm 2 for each parent in `from until until`
-    * against its later class mates, then MPTD on each candidate's theme
-    * network — induced from the full network (TCFA) or from the linear-merge
+  /** Level-k task, k ≥ 2, over the rows `ps` of level k − 1: Algorithm 2
+    * for each parent in `from until until` against its later class mates,
+    * then MPTD on each candidate's theme network — induced from the full
+    * network (TCFA, which reads no parent keys) or from the linear-merge
     * intersection of the two parents' trusses, skipped when empty (TCFI).
     * The intersection is written to the task's workspace.
     */
-  private def grow(net: CompactNetwork, ps: Parents, from: Int, until: Int, alpha: Double,
+  private def grow(net: CompactNetwork, ps: Rows, from: Int, until: Int, alpha: Double,
                    useIntersection: Boolean): Rows = {
     val out = new RowsBuilder(ps.patterns.width + 1)
     val ws = new Workspace
@@ -381,7 +370,6 @@ private[repro] object Levelwise {
     private val patterns = new mutable.ArrayBuilder.ofInt
     private val ends = new mutable.ArrayBuilder.ofInt
     private val keys = new mutable.ArrayBuilder.ofLong
-    private val cohesions = new mutable.ArrayBuilder.ofDouble
     private var nKeys = 0
     private var candidates = 0L
     private var mptdCalls = 0L
@@ -392,7 +380,7 @@ private[repro] object Levelwise {
       candidates += 1; mptdCalls += 1
       val t = LocalTruss.mptd(within, n, net.freq(_, c, ws), alpha, ws)
       if (!t.isEmpty) {
-        patterns ++= c; keys ++= t.keys; cohesions ++= t.cohesions
+        patterns ++= c; keys ++= t.keys
         nKeys += t.nEdges; ends += nKeys
       }
     }
@@ -400,6 +388,6 @@ private[repro] object Levelwise {
     def prune(): Unit = { candidates += 1; pruned += 1 }
 
     def result(): Rows =
-      new Rows(new PatternSet(width, patterns.result()), ends.result(), keys.result(), cohesions.result(), candidates, mptdCalls, pruned)
+      new Rows(new PatternSet(width, patterns.result()), ends.result(), keys.result(), candidates, mptdCalls, pruned)
   }
 }

@@ -93,20 +93,22 @@ object Experiments {
 
   /** Figure 3 sweep: TCS(ε) / TCFA / TCFI across cohesion thresholds α on
     * one (typically BFS-sampled) database network, uncapped unless
-    * `maxLen` is given.
+    * `maxLen` is given. Every method runs once untimed at the first α
+    * before the timed rows, so no row's time includes JIT warm-up.
     */
   def fig3(spark: SparkSession, net: GenNet,
            alphas: Seq[Double] = Seq(0.0, 0.1, 0.2, 0.3, 0.5, 1.0, 1.5, 2.0),
            epss: Seq[Double] = Seq(0.1, 0.2, 0.3),
            maxLen: Int = Int.MaxValue): Seq[MinerRow] = {
     val c = net.compact
-    alphas.flatMap { a =>
+    def rowsAt(a: Double): Seq[MinerRow] =
       epss.map(e => minerRow(s"TCS(eps=$e)", a, e, TCS.run(spark, c, a, e, maxLen))) ++
         Seq(
           minerRow("TCFA", a, Double.NaN, TCFA.run(spark, c, a, maxLen)),
           minerRow("TCFI", a, Double.NaN, TCFI.run(spark, c, a, maxLen)),
         )
-    }
+    alphas.headOption.foreach(rowsAt)
+    alphas.flatMap(rowsAt)
   }
 
   def formatMinerRows(rows: Seq[MinerRow]): String = {
@@ -125,7 +127,9 @@ object Experiments {
   /** Figure 4: runtime and truss-size metrics vs. BFS-sampled network size,
     * at the worst case α = 0, uncapped unless `maxLen` is given. TCS/TCFA
     * are skipped above their cutoffs (paper: "we stop reporting when they
-    * cost more than one day").
+    * cost more than one day"). Every method runs once untimed on the
+    * smallest sample before the timed rows, so no row's time includes JIT
+    * warm-up.
     */
   def fig4(spark: SparkSession, base: GenNet, sizes: Seq[Int],
            eps: Double = 0.1, maxLen: Int = Int.MaxValue,
@@ -134,7 +138,7 @@ object Experiments {
       Fig4Row(method, m, r.stats.timeMs, r.np,
               if (r.np == 0) 0.0 else r.nv.toDouble / r.np,
               if (r.np == 0) 0.0 else r.ne.toDouble / r.np, r.stats.truncated)
-    sizes.flatMap { m =>
+    def rowsAt(m: Int): Seq[Fig4Row] = {
       val net = NetGen.bfsSample(base, m).compact
       val out = scala.collection.mutable.ArrayBuffer.empty[Fig4Row]
       if (m <= tcsCutoff) out += row(s"TCS(eps=$eps)", m, TCS.run(spark, net, 0.0, eps, maxLen))
@@ -142,6 +146,8 @@ object Experiments {
       out += row("TCFI", m, TCFI.run(spark, net, 0.0, maxLen))
       out.toSeq
     }
+    if (sizes.nonEmpty) rowsAt(sizes.min)
+    sizes.flatMap(rowsAt)
   }
 
   def formatFig4(rows: Seq[Fig4Row]): String = {

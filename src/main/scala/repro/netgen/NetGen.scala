@@ -272,9 +272,9 @@ object NetGen {
     val taken = mutable.LinkedHashSet.empty[(Int, Int)]
     val visited = mutable.Set.empty[Int]
     val queue = mutable.Queue.empty[Int]
-    var guard = 0
-    while (taken.size < mEdges && visited.size < net.n && guard < net.n * 4) {
-      guard += 1
+    // Each round takes the edges of one vertex, and every vertex is queued
+    // once, so the walk ends with every edge taken or `mEdges` of them.
+    while (taken.size < mEdges && (queue.nonEmpty || visited.size < net.n)) {
       if (queue.isEmpty) {
         var s = rnd.nextInt(net.n)
         while (visited.contains(s)) s = (s + 1) % net.n

@@ -1,7 +1,7 @@
 package repro
 
 import repro.Oracle.{Db, Table}
-import repro.core.LocalTruss
+import repro.core.{Decomposition, LocalTruss}
 import repro.netgen.GenNet
 
 /** A database network as DuckDB tables, and the paper's definitions as SQL
@@ -19,9 +19,10 @@ import repro.netgen.GenNet
   * (`usePattern`), `pattern_freq(v, f)` = f_v(p) on every vertex and
   * `theme(src, dst)` = the edges of G_p.
   *
-  * `triangles`, `edgeCohesion` and the MPTD fixed point `mptd` read the
-  * edges of table `g(src, dst)` (canonical, src < dst) and the frequencies
-  * of table `freq(v, f)`.
+  * `triangles`, `edgeCohesion`, the MPTD fixed point `mptd` and the
+  * Theorem 6.1 decomposition `decompose` read the edges of table
+  * `g(src, dst)` (canonical, src < dst) and the frequencies of table
+  * `freq(v, f)`.
   */
 object NetworkSql {
 
@@ -110,6 +111,27 @@ object NetworkSql {
       alpha + LocalTruss.Eps) > 0) {}
     db.query("SELECT src, dst, eco FROM cohesion")
   }
+
+  /** Theorem 6.1 on `g`: peel it to C*(0), then, while edges remain, take
+    * the least cohesion β in the current `g`, peel at β and record the edges
+    * that peel removed as R(β). Peels `g` to empty and returns one
+    * (src, dst, β) row per edge of C*(0).
+    */
+  def decompose(db: Db): Vector[Vector[Any]] = {
+    var left = edgeSet(mptd(db, 0.0))
+    val out = Vector.newBuilder[Vector[Any]]
+    while (left.nonEmpty) {
+      val beta = db.query("SELECT MIN(eco) FROM cohesion").head.head.asInstanceOf[Double]
+      val kept = edgeSet(mptd(db, beta))
+      for ((u, v) <- left -- kept) out += Vector(u, v, beta)
+      left = kept
+    }
+    out.result()
+  }
+
+  /** A kernel decomposition as the rows `decompose` returns. */
+  def decompositionRows(d: Decomposition): Vector[Vector[Any]] =
+    d.nodes.flatMap { case (beta, es) => es.map(e => Vector(e._1, e._2, beta)) }
 
   /** C*_p(α) of the network's theme network G_p, all in SQL: (src, dst, eco). */
   def themeMptd(db: Db, p: Seq[Int], alpha: Double): Vector[Vector[Any]] = {

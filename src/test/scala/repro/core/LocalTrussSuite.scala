@@ -7,7 +7,8 @@ import scala.util.Random
 
 /** Algorithm 1 (MPTD), the Theorem 6.1 decomposition, and theme-community
   * extraction, on hand-built graphs plus randomized cases verified against
-  * brute-force enumeration of all pattern trusses.
+  * brute-force enumeration of all pattern trusses. Cohesion values are
+  * checked where the kernel returns them: as decomposition thresholds.
   */
 class LocalTrussSuite extends AnyFunSuite {
   import LocalTruss._
@@ -23,6 +24,12 @@ class LocalTrussSuite extends AnyFunSuite {
       ekey(u, v) -> common.toSeq.map(w => math.min(math.min(f(u), f(v)), f(w))).sum
     }.toMap
   }
+
+  /** The thresholds of `d` equal `expected` within 1e-12. */
+  private def assertThresholds(d: Decomposition, expected: Double*): Unit =
+    assert(d.thresholds.length == expected.length &&
+             d.thresholds.indices.forall(k => math.abs(d.thresholds(k) - expected(k)) < 1e-12),
+           s"thresholds ${d.thresholds.toSeq} != $expected")
 
   private def isPatternTruss(sub: Seq[(Int, Int)], f: Int => Double, alpha: Double): Boolean =
     ecoWithin(sub, f).values.forall(_ > alpha)
@@ -58,7 +65,7 @@ class LocalTrussSuite extends AnyFunSuite {
   test("triangle, all frequencies 1: eco = 1 on every edge") {
     val t = mptd(Seq((0, 1), (1, 2), (0, 2)), one, 0.5)
     assert(t.edges.toSet == Set((0, 1), (0, 2), (1, 2)))
-    assert(t.cohesion.values.forall(c => math.abs(c - 1.0) < 1e-12))
+    assertThresholds(decompose(t.edges, one), 1.0)
   }
 
   test("triangle, all frequencies 1: empty at alpha = 1 (strict threshold)") {
@@ -73,7 +80,7 @@ class LocalTrussSuite extends AnyFunSuite {
     val edges = (for (i <- 0 until 5; j <- (i + 1) until 5) yield (i, j)).toVector
     val t = mptd(edges, one, 2.0) // alpha = k - 3 for k = 5
     assert(t.nEdges == 10)
-    assert(t.cohesion.values.forall(c => math.abs(c - 3.0) < 1e-12))
+    assertThresholds(decompose(edges, one), 3.0)
     assert(mptd(edges, one, 3.0).isEmpty)
   }
 
@@ -88,18 +95,20 @@ class LocalTrussSuite extends AnyFunSuite {
   test("cascading removal: bowtie of two triangles sharing an edge") {
     // Edges of triangle A {0,1,2} and B {1,2,3}; shared edge (1,2) has eco 2.
     val edges = Vector((0, 1), (0, 2), (1, 2), (1, 3), (2, 3))
-    val t0 = mptd(edges, one, 0.0)
-    assert(t0.nEdges == 5)
-    assert(math.abs(t0.cohesion(ekey(1, 2)) - 2.0) < 1e-12)
+    assert(mptd(edges, one, 0.0).nEdges == 5)
     // alpha = 1: outer edges (eco 1) go first, which starves (1,2) -> empty.
     assert(mptd(edges, one, 1.0).isEmpty)
+    // So the decomposition is one group at 1.0 holding all five edges.
+    val d = decompose(edges, one)
+    assertThresholds(d, 1.0)
+    assert(d.nodes.head._2 == edges)
   }
 
   test("min-frequency vertex caps the cohesion of its triangles") {
     val f = Map(0 -> 1.0, 1 -> 0.5, 2 -> 0.2).withDefaultValue(0.0)
     val t = mptd(Seq((0, 1), (1, 2), (0, 2)), f, 0.1)
     assert(t.nEdges == 3)
-    assert(t.cohesion.values.forall(c => math.abs(c - 0.2) < 1e-12))
+    assertThresholds(decompose(Seq((0, 1), (1, 2), (0, 2)), f), 0.2)
     assert(mptd(Seq((0, 1), (1, 2), (0, 2)), f, 0.2).isEmpty)
   }
 
@@ -137,23 +146,23 @@ class LocalTrussSuite extends AnyFunSuite {
       val c = g.compact
       val f: Int => Double = c.freq(_, Vector(0))
       val t = mptd(themeInduce(g.edges, f), f, 0.1)
-      val t2 = mptd(t.edges, f, 0.1)
-      assert(t2.edges.toSet == t.edges.toSet)
-      for (e <- t.edges)
-        assert(math.abs(t2.cohesion(ekey(e._1, e._2)) - t.cohesion(ekey(e._1, e._2))) < 1e-9)
+      assert(mptd(t.edges, f, 0.1).edges == t.edges)
     }
   }
 
-  test("surviving cohesions equal from-scratch cohesions within the truss") {
+  test("each threshold is the least from-scratch cohesion of the edges left") {
     val rnd = new Random(9)
     for (_ <- 0 until 20) {
       val n = 8
       val edges = (for (i <- 0 until n; j <- (i + 1) until n if rnd.nextDouble() < 0.5)
         yield (i, j)).toVector
       val fArr = Array.fill(n)(rnd.nextInt(11) / 10.0)
-      val t = mptd(edges, fArr(_), 0.2)
-      val fresh = ecoWithin(t.edges, fArr(_))
-      for ((k, c) <- t.cohesion) assert(math.abs(c - fresh(k)) < 1e-9)
+      var left = mptd(edges, fArr(_), 0.0).edges
+      for ((beta, removed) <- decompose(edges, fArr(_)).nodes) {
+        assert(math.abs(beta - ecoWithin(left, fArr(_)).values.min) < 1e-9)
+        left = left.filterNot(removed.toSet)
+      }
+      assert(left.isEmpty)
     }
   }
 
@@ -222,7 +231,7 @@ class LocalTrussSuite extends AnyFunSuite {
       val f = repro.TestNets.randomFreqs(rnd, g.n)
       val t1 = mptd(g.edges, f, 0.0)
       if (!t1.isEmpty) {
-        val beta = t1.minCohesion
+        val beta = ecoWithin(t1.edges, f).values.min
         val t2 = mptd(g.edges, f, beta)
         assert(t2.edges.toSet.subsetOf(t1.edges.toSet))
         assert(t2.nEdges < t1.nEdges)

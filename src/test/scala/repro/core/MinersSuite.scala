@@ -16,25 +16,14 @@ class MinersSuite extends SparkSpec {
     assert(a.trusses.keySet == b.trusses.keySet,
       s"pattern sets differ: only-a=${a.trusses.keySet -- b.trusses.keySet} " +
         s"only-b=${b.trusses.keySet -- a.trusses.keySet}")
-    for ((p, ta) <- a.trusses) {
-      val tb = b.trusses(p)
-      assert(ta.edges.toSet == tb.edges.toSet, s"edges differ for ${Pattern.key(p)}")
-      val cb = tb.cohesion
-      for ((k, c) <- ta.cohesion) assert(math.abs(c - cb(k)) < 1e-9)
-    }
+    for ((p, ta) <- a.trusses) assert(ta == b.trusses(p), s"edges differ for ${Pattern.key(p)}")
   }
 
-  /** Pattern for pattern: equal edge keys, cohesions within 1e-9, and equal
-    * counters.
-    */
+  /** Pattern for pattern: equal edge keys, and equal counters. */
   private def assertSameRun(a: MiningResult, b: MiningResult, what: String): Unit = {
     assert(a.trusses.keySet == b.trusses.keySet, what)
-    for ((p, ta) <- a.trusses) {
-      val tb = b.trusses(p)
-      assert(ta.keys.sameElements(tb.keys), s"$what: edges differ for ${Pattern.key(p)}")
-      assert(ta.cohesions.indices.forall(i => math.abs(ta.cohesions(i) - tb.cohesions(i)) < 1e-9),
-        s"$what: cohesions differ for ${Pattern.key(p)}")
-    }
+    for ((p, ta) <- a.trusses)
+      assert(ta.keys.sameElements(b.trusses(p).keys), s"$what: edges differ for ${Pattern.key(p)}")
     assert(a.stats.copy(timeMs = 0) == b.stats.copy(timeMs = 0), what)
   }
 
@@ -75,22 +64,19 @@ class MinersSuite extends SparkSpec {
     }
   }
 
-  test("Truss: array-backed views equal the edge-to-cohesion map they encode") {
+  test("Truss: array-backed views equal the edge set they encode") {
     val edge = for (u <- Gen.choose(0, 15); d <- Gen.choose(1, 8)) yield LocalTruss.ekey(u, u + d)
-    val truss = Gen.mapOf(Gen.zip(edge, Gen.choose(0.0, 4.0)))
-    def fromMap(m: Map[Long, Double]): Truss = {
-      val keys = LocalTruss.edgeKeys(m.keys.map(LocalTruss.dekey))
-      new Truss(keys, keys.map(m))
-    }
-    val prop = Prop.forAll(truss, truss) { (ma, mb) =>
-      val (a, b) = (fromMap(ma), fromMap(mb))
-      val edges = ma.keys.toVector.sorted.map(LocalTruss.dekey)
+    val truss = Gen.containerOf[Set, Long](edge)
+    def fromSet(s: Set[Long]): Truss = new Truss(LocalTruss.edgeKeys(s.map(LocalTruss.dekey)))
+    val prop = Prop.forAll(truss, truss) { (sa, sb) =>
+      val (a, b) = (fromSet(sa), fromSet(sb))
+      val edges = sa.toVector.sorted.map(LocalTruss.dekey)
       val ends = edges.flatMap(e => Seq(e._1, e._2)).toSet
       a.edges == edges && edges.forall(e => e._1 < e._2) &&
-        a.cohesion == ma && a.vertices == ends && a.nVertices == ends.size &&
-        a.nEdges == ma.size && a.isEmpty == ma.isEmpty &&
-        a.minCohesion == (if (ma.isEmpty) 0.0 else ma.values.min) &&
-        a.intersectEdges(b) == edges.filter(e => mb.contains(LocalTruss.ekey(e._1, e._2)))
+        a.vertices == ends && a.nVertices == ends.size &&
+        a.nEdges == sa.size && a.isEmpty == sa.isEmpty &&
+        a == fromSet(sa) && a.hashCode == fromSet(sa).hashCode && (a == b) == (sa == sb) &&
+        a.intersectEdges(b) == edges.filter(e => sb.contains(LocalTruss.ekey(e._1, e._2)))
     }
     val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(300), prop)
     assert(res.passed, res.status)

@@ -7,11 +7,12 @@ import scala.util.Random
 
 /** Triangles and edge cohesion (Definition 3.1). The SQL definitions
   * (`NetworkSql.triangles`, `NetworkSql.edgeCohesion`) are checked against
-  * hand counts and a from-scratch computation, and the kernel against them:
-  * `LocalTruss.mptd` at α = 0 keeps exactly the edges of positive cohesion,
-  * with their initial cohesions, since an edge of cohesion 0 adds 0 to every
-  * other edge's sum. With unit frequencies that cohesion is the edge's
-  * triangle count.
+  * hand counts and a from-scratch computation, and the kernel against them
+  * through the output that carries cohesion values: the Theorem 6.1
+  * decomposition `LocalTruss.decompose` must equal the SQL one
+  * (`NetworkSql.decompose`, built on `edgeCohesion`), thresholds within
+  * 1e-9 and edge groups equal. With unit frequencies a cohesion is the
+  * edge's triangle count.
   */
 class TrianglesSuite extends AnyFunSuite {
 
@@ -24,21 +25,20 @@ class TrianglesSuite extends AnyFunSuite {
   private def sqlCohesion(edges: Seq[(Int, Int)], f: Map[Int, Double]): Map[(Int, Int), Double] =
     NetworkSql.cohesions(Oracle.query(NetworkSql.edgeCohesion, NetworkSql.edgeTables(edges, f): _*))
 
-  /** The kernel's C*(0) with its cohesions. */
-  private def kernelCohesion(edges: Seq[(Int, Int)], f: Int => Double): Map[(Int, Int), Double] = {
-    val t = LocalTruss.mptd(edges, f, 0.0)
-    t.edges.zip(t.cohesions).toMap
-  }
+  private def unit(edges: Seq[(Int, Int)]): Map[Int, Double] =
+    edges.flatMap(e => Seq(e._1 -> 1.0, e._2 -> 1.0)).toMap
 
-  /** Triangles counted by the kernel: unit-frequency cohesions summed over
-    * the edges, three edges per triangle.
-    */
-  private def kernelTriangles(edges: Seq[(Int, Int)]): Long =
-    math.round(kernelCohesion(edges, _ => 1.0).values.sum / 3)
+  /** The kernel's decomposition of `edges` equals the SQL one; returns it. */
+  private def assertKernelAgrees(edges: Seq[(Int, Int)], f: Map[Int, Double]): Decomposition = {
+    val d = LocalTruss.decompose(edges, f)
+    Oracle.assertSameRows(NetworkSql.decompositionRows(d),
+                          Oracle.withDb(NetworkSql.edgeTables(edges, f): _*)(NetworkSql.decompose))
+    d
+  }
 
   private def assertTriangles(edges: Seq[(Int, Int)], expected: Set[(Int, Int, Int)]): Unit = {
     assert(sqlTriangles(edges) == expected)
-    assert(kernelTriangles(edges) == expected.size)
+    assertKernelAgrees(edges, unit(edges))
   }
 
   private def close(a: Map[(Int, Int), Double], b: Map[(Int, Int), Double]): Boolean =
@@ -78,34 +78,34 @@ class TrianglesSuite extends AnyFunSuite {
 
   test("edgeCohesion with unit frequencies counts triangles per edge") {
     val expected = Map((0, 1) -> 1.0, (0, 2) -> 1.0, (1, 2) -> 2.0, (1, 3) -> 1.0, (2, 3) -> 1.0)
-    assert(sqlCohesion(bowtie, (0 to 3).map(_ -> 1.0).toMap) == expected)
-    assert(kernelCohesion(bowtie, _ => 1.0) == expected)
+    assert(sqlCohesion(bowtie, unit(bowtie)) == expected)
+    assertKernelAgrees(bowtie, unit(bowtie))
   }
 
   test("edgeCohesion: triangle-free edges present with cohesion 0") {
     val es = Seq((0, 1), (1, 2), (0, 2), (2, 3))
-    val eco = sqlCohesion(es, (0 to 3).map(_ -> 1.0).toMap)
+    val eco = sqlCohesion(es, unit(es))
     assert(eco((2, 3)) == 0.0)
     assert(eco.size == 4)
-    // The kernel drops the edge at α = 0: its cohesion is not above 0.
-    assert(kernelCohesion(es, _ => 1.0) == eco - ((2, 3)))
+    // Both drop the edge from C*(0): its cohesion is not above 0.
+    assertKernelAgrees(es, unit(es))
   }
 
   test("edgeCohesion takes the min frequency over the triangle corners") {
     val f = Map(0 -> 0.9, 1 -> 0.5, 2 -> 0.3)
     val tri = Seq((0, 1), (0, 2), (1, 2))
-    for (eco <- Seq(sqlCohesion(tri, f), kernelCohesion(tri, f))) {
-      assert(eco.size == 3)
-      assert(eco.values.forall(v => math.abs(v - 0.3) < 1e-12))
-    }
+    val eco = sqlCohesion(tri, f)
+    assert(eco.size == 3)
+    assert(eco.values.forall(v => math.abs(v - 0.3) < 1e-12))
+    assertKernelAgrees(tri, f)
   }
 
   test("edgeCohesion matches the Example 3.2 arithmetic") {
     // e12 in triangles {1,2,3} and {1,2,5}: eco = min(f1,f2,f3) + min(f1,f2,f5).
     val es = Seq((1, 2), (1, 3), (2, 3), (1, 5), (2, 5))
     val f = Map(1 -> 0.5, 2 -> 0.4, 3 -> 0.1, 5 -> 0.1)
-    for (eco <- Seq(sqlCohesion(es, f), kernelCohesion(es, f)))
-      assert(math.abs(eco((1, 2)) - 0.2) < 1e-12)
+    assert(math.abs(sqlCohesion(es, f)((1, 2)) - 0.2) < 1e-12)
+    assertKernelAgrees(es, f)
   }
 
   test("edgeCohesion matches local from-scratch computation on random graphs") {
@@ -118,18 +118,15 @@ class TrianglesSuite extends AnyFunSuite {
       val scratch = g.edges.map { case (u, v) =>
         (u, v) -> (adj(u) intersect adj(v)).toSeq.map(w => Seq(fArr(u), fArr(v), fArr(w)).min).sum
       }.toMap
-      assert(close(sqlCohesion(g.edges, fArr.indices.map(i => i -> fArr(i)).toMap), scratch))
-      assert(close(kernelCohesion(g.edges, fArr(_)), scratch.filter(_._2 > 0)))
+      val f = fArr.indices.map(i => i -> fArr(i)).toMap
+      assert(close(sqlCohesion(g.edges, f), scratch))
+      assertKernelAgrees(g.edges, f)
     }
   }
 
   test("edgeCohesion matches DuckDB end-to-end") {
     val g = TestNets.randomNet(new Random(33))
     val f = (0 until g.n).map(i => i -> ((i % 10) / 10.0 + 0.1)).toMap
-    val t = LocalTruss.mptd(g.edges, f, 0.0)
-    assert(!t.isEmpty)
-    Oracle.assertSameRows(
-      t.edges.zip(t.cohesions).map { case ((u, v), c) => Seq(u, v, c) },
-      Oracle.query(s"SELECT * FROM (${NetworkSql.edgeCohesion}) WHERE eco > 0", NetworkSql.edgeTables(g.edges, f): _*))
+    assert(!assertKernelAgrees(g.edges, f).isEmpty)
   }
 }

@@ -98,6 +98,21 @@ class NetGenSuite extends AnyFunSuite {
     validate(s)
   }
 
+  test("bfsSample takes min(m, |E|) edges when every vertex is visited before m are taken") {
+    // In K4 the walk visits all four vertices from its first seed, so the
+    // edges still waiting at the queued vertices must be taken too.
+    val k4 = GenNet(4, (for (i <- 0 until 4; j <- (i + 1) until 4) yield (i, j)).toVector,
+                    Vector.fill(4)(Vector(Vector(0))))
+    val rnd = new scala.util.Random(12)
+    val cases = (0 until 6).map(seed => (k4, seed.toLong)) ++
+      Seq.fill(20)((repro.TestNets.randomNet(rnd), rnd.nextInt(100).toLong))
+    for ((g, seed) <- cases; m <- 1 to g.nEdges) {
+      val s = NetGen.bfsSample(g, m, seed)
+      assert(s.nEdges == math.min(m, g.nEdges), s"n=${g.n} |E|=${g.nEdges} m=$m seed=$seed")
+      validate(s)
+    }
+  }
+
   test("bfsSample with m >= |E| returns the original network") {
     val g = NetGen.bkLike(200, seed = 9)
     assert(NetGen.bfsSample(g, g.nEdges + 10) eq g)
