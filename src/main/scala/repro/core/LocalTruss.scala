@@ -28,10 +28,6 @@ final class Truss(val keys: Array[Long]) extends Serializable {
   override def hashCode: Int = java.util.Arrays.hashCode(keys)
 }
 
-object Truss {
-  val empty: Truss = new Truss(Array.emptyLongArray)
-}
-
 /** The decomposed maximal pattern truss L_p of Section 6.1, held in the
   * shape Algorithm 5 reads it: `thresholds` are the strictly ascending α_k,
   * `keys` are the canonical edge keys (`LocalTruss.ekey`) of every edge of
@@ -253,9 +249,10 @@ object LocalTruss {
   * `LocalTruss.decompose`, of the buffered key intersection (`intersect`)
   * and of `CompactNetwork.freq`, reused from call to call. Each array grows
   * geometrically to the largest call seen and is never shrunk; a call
-  * overwrites only the prefix it reads. A workspace is not thread-safe: a
-  * task creates one, passes it to every kernel call it makes and drops it
-  * when it ends, so no workspace outlives the job that used it.
+  * overwrites only the prefix it reads. A workspace is not thread-safe:
+  * the executor (`Levelwise.Exec`) hands each task a fresh one, which the
+  * task passes to every kernel call it makes and which is dropped when the
+  * task ends, so no workspace outlives the job that used it.
   *
   * A kernel call loads the theme network on ascending canonical edge keys.
   * The distinct endpoints are collected through a vertex → local-id map

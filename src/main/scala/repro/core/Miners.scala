@@ -38,7 +38,7 @@ final case class MiningResult(trusses: Map[Vector[Int], Truss], stats: MinerStat
     */
   def communities: Seq[(Vector[Int], Set[Int])] =
     trusses.toSeq.sortBy(kv => Pattern.key(kv._1)).flatMap { case (p, t) =>
-      LocalTruss.connectedComponents(t.edges).map(c => (p, c))
+      LocalTruss.components(t.keys, 0, t.nEdges).map(c => (p, c))
     }
 }
 
@@ -79,12 +79,14 @@ private[repro] object MinerOps {
   * result is flagged `truncated` when a candidate has `maxLen` items, since
   * the per-vertex enumeration stopped there.
   *
-  * Two jobs on the `Levelwise` executor. The first runs over ranges of
-  * vertices; each task returns the distinct candidates of its vertices,
-  * and the driver merges them into one sorted `PatternSet` per width. The
-  * candidates are downward closed, so the widths run 1..L with no gaps.
-  * The second runs `Levelwise.seed` over ranges cut within each width and
-  * returns one level of `Rows` per width.
+  * Two jobs on the `Levelwise` executor. The first is weighted by each
+  * vertex's transaction count; each task returns the distinct candidates of
+  * its vertices, and the driver merges them into one sorted `PatternSet` per
+  * width. The candidates are downward closed, so the widths run 1..L with no
+  * gaps. The second numbers the candidates across the widths, one unit each,
+  * so a range may span widths: its task runs `Levelwise.seed` on the slice
+  * of each width it overlaps. The driver concatenates each width's rows in
+  * range order, one level of `Rows` per width.
   */
 object TCS {
   def run(spark: SparkSession, net: CompactNetwork, alpha: Double, eps: Double,
@@ -96,23 +98,19 @@ object TCS {
     val exec = new Levelwise.SparkExec(spark, net)
     val levels =
       try {
-        val found = exec((), Levelwise.cut(Array.tabulate(net.n)(net.txs(_).length.toLong), exec.slots)) {
-          (n, _, from, until) =>
-            val ws = new Workspace
-            val seen = mutable.HashSet.empty[Vector[Int]]
-            for (v <- from until until; level <- localFrequentPatterns(n, v, eps, maxLen, ws); r <- 0 until level.size)
-              seen += level(r)
-            seen.toArray
+        val found = exec((), Array.tabulate(net.n)(net.txs(_).length.toLong)) { (n, _, from, until, ws) =>
+          val seen = mutable.HashSet.empty[Vector[Int]]
+          for (v <- from until until; level <- localFrequentPatterns(n, v, eps, maxLen, ws); r <- 0 until level.size)
+            seen += level(r)
+          seen.toArray
         }.flatten
         val candidates = found.groupBy(_.length).toVector.sortBy(_._1).map { case (w, ps) => PatternSet(w, ps) }
+        // Candidate i of width k is unit start(k) + i: one cut over every width.
         val start = candidates.scanLeft(0)(_ + _.size)
-        val ranges = candidates.indices.flatMap { k =>
-          Levelwise.cut(Array.fill(candidates(k).size)(1L), exec.slots).map { case (a, b) => (start(k) + a, start(k) + b) }
-        }
-        val rows = exec(candidates, ranges) { (n, cs, from, until) =>
-          val k = start.lastIndexWhere(_ <= from)
-          Levelwise.seed(n, cs(k), from - start(k), until - start(k), alpha)
-        }
+        val rows = exec(candidates, Array.fill(start.last)(1L)) { (n, cs, from, until, ws) =>
+          for (k <- cs.indices if from < start(k + 1) && start(k) < until)
+            yield Levelwise.seed(n, cs(k), (from max start(k)) - start(k), (until min start(k + 1)) - start(k), alpha, ws)
+        }.flatten
         candidates.map(ps => Levelwise.Rows.concat(ps.width, rows.filter(_.patterns.width == ps.width)))
       } finally exec.close()
     val ms = (System.nanoTime() - t0) / 1000000
@@ -190,9 +188,9 @@ object TCFI {
   */
 private[repro] object Levelwise {
 
-  /** Ranges per core in one level's job: ranges hold equal pair counts, but
-    * pairs differ in cost, so a few ranges per core even out the load.
-    * `TCTree.build` cuts its layer-1 subtrees the same way.
+  /** Ranges per core in one `SparkExec` job: ranges hold equal weight (a
+    * level's pair counts, say), but units of equal weight differ in cost,
+    * so a few ranges per core even out the load.
     */
   val RangesPerCore = 4
 
@@ -236,42 +234,47 @@ private[repro] object Levelwise {
     }
   }
 
-  /** Runs `task(net, shared, from, until)` over contiguous ranges of units
-    * and returns the results in range order. `TCS` and `TCTree.build` run
-    * their two jobs on the same executors. A task that calls the kernels
-    * creates its own `Workspace`.
+  /** Cuts units `0 until weights.length` into contiguous ranges of about
+    * equal total weight (`cut`), runs `task(net, shared, from, until, ws)`
+    * on each and returns the results in range order; with no unit of
+    * positive weight it runs nothing. Every job in the program runs here:
+    * the miners' levels and the two jobs each of `TCS` and `TCTree.build`.
+    * Each task gets a fresh `Workspace`, so no workspace is shared between
+    * tasks or outlives one.
     */
   trait Exec {
-    /** How many ranges a job is cut into. */
-    def slots: Int
-    def apply[S: ClassTag, R: ClassTag](shared: S, ranges: Seq[(Int, Int)])(task: (CompactNetwork, S, Int, Int) => R): Seq[R]
+    def apply[S: ClassTag, R: ClassTag](shared: S, weights: Array[Long])
+                                       (task: (CompactNetwork, S, Int, Int, Workspace) => R): Seq[R]
   }
 
-  /** One Spark job per call, one task per range; the network and `shared`
-    * reach the tasks as broadcasts.
+  /** One Spark job per call, `RangesPerCore` ranges per core and one task
+    * per range; the network and `shared` reach the tasks as broadcasts.
     */
   final class SparkExec(spark: SparkSession, net: CompactNetwork) extends Exec {
     private val sc = spark.sparkContext
     private val bcNet = sc.broadcast(net)
-    val slots: Int = sc.defaultParallelism * RangesPerCore
 
-    def apply[S: ClassTag, R: ClassTag](shared: S, ranges: Seq[(Int, Int)])(task: (CompactNetwork, S, Int, Int) => R): Seq[R] =
+    def apply[S: ClassTag, R: ClassTag](shared: S, weights: Array[Long])
+                                       (task: (CompactNetwork, S, Int, Int, Workspace) => R): Seq[R] = {
+      val ranges = cut(weights, sc.defaultParallelism * RangesPerCore)
       if (ranges.isEmpty) Nil
       else {
         val n = bcNet
         val b = sc.broadcast(shared)
-        try sc.parallelize(ranges, ranges.length).map { case (from, until) => task(n.value, b.value, from, until) }.collect().toSeq
+        try sc.parallelize(ranges, ranges.length)
+              .map { case (from, until) => task(n.value, b.value, from, until, new Workspace) }.collect().toSeq
         finally b.destroy()
       }
+    }
 
     def close(): Unit = bcNet.destroy()
   }
 
   /** A plain loop in place of each Spark job: one range per job, on the calling thread. */
   final class SerialExec(net: CompactNetwork) extends Exec {
-    val slots: Int = 1
-    def apply[S: ClassTag, R: ClassTag](shared: S, ranges: Seq[(Int, Int)])(task: (CompactNetwork, S, Int, Int) => R): Seq[R] =
-      ranges.map { case (from, until) => task(net, shared, from, until) }
+    def apply[S: ClassTag, R: ClassTag](shared: S, weights: Array[Long])
+                                       (task: (CompactNetwork, S, Int, Int, Workspace) => R): Seq[R] =
+      cut(weights, 1).map { case (from, until) => task(net, shared, from, until, new Workspace) }
   }
 
   /** Cuts units `0 until weights.length` into at most `n` contiguous ranges
@@ -298,8 +301,8 @@ private[repro] object Levelwise {
     // One level's job over units of the given weights (none if all are 0);
     // the rows come back in unit order and are kept as one level.
     def runLevel[S: ClassTag](k: Int, shared: S, weights: Array[Long])
-                             (task: (CompactNetwork, S, Int, Int) => Rows): Rows = {
-      val level = Rows.concat(k, exec(shared, cut(weights, exec.slots))(task))
+                             (task: (CompactNetwork, S, Int, Int, Workspace) => Rows): Rows = {
+      val level = Rows.concat(k, exec(shared, weights)(task))
       levels += level
       level
     }
@@ -307,12 +310,12 @@ private[repro] object Levelwise {
     // Level 1 (Algorithm 3 line 1): MPTD on every single-item theme network.
     val items = net.items
     var level = runLevel(1, new PatternSet(1, items), Array.fill(items.length)(1L)) {
-      (n, ps, from, until) => seed(n, ps, from, until, alpha)
+      (n, ps, from, until, ws) => seed(n, ps, from, until, alpha, ws)
     }
     var k = 2
     while (level.size > 0 && k <= maxLen) {
       level = runLevel(k, level, level.patterns.laterInClass.map(_.toLong)) {
-        (n, ps, from, until) => grow(n, ps, from, until, alpha, useIntersection)
+        (n, ps, from, until, ws) => grow(n, ps, from, until, alpha, useIntersection, ws)
       }
       k += 1
     }
@@ -329,11 +332,11 @@ private[repro] object Levelwise {
   }
 
   /** Task of level 1 and of TCS: MPTD on the theme network of each pattern
-    * `ps(from until until)`, induced from the full network.
+    * `ps(from until until)`, induced from the full network, in `ws`.
     */
-  private[core] def seed(net: CompactNetwork, ps: PatternSet, from: Int, until: Int, alpha: Double): Rows = {
+  private[core] def seed(net: CompactNetwork, ps: PatternSet, from: Int, until: Int, alpha: Double,
+                         ws: Workspace): Rows = {
     val out = new RowsBuilder(ps.width)
-    val ws = new Workspace
     for (r <- from until until) {
       val p = java.util.Arrays.copyOfRange(ps.items, r * ps.width, (r + 1) * ps.width)
       val keys = net.themeKeys(p, ws)
@@ -347,12 +350,11 @@ private[repro] object Levelwise {
     * then MPTD on each candidate's theme network — induced from the full
     * network (TCFA, which reads no parent keys) or from the linear-merge
     * intersection of the two parents' trusses, skipped when empty (TCFI).
-    * The intersection is written to the task's workspace.
+    * Every kernel call, and the intersection, runs in `ws`.
     */
   private def grow(net: CompactNetwork, ps: Rows, from: Int, until: Int, alpha: Double,
-                   useIntersection: Boolean): Rows = {
+                   useIntersection: Boolean, ws: Workspace): Rows = {
     val out = new RowsBuilder(ps.patterns.width + 1)
-    val ws = new Workspace
     for (r <- from until until) ps.patterns.join(r) { (s, c) =>
       if (!useIntersection) {
         val keys = net.themeKeys(c, ws)

@@ -47,57 +47,30 @@ object TCQueryResult {
   */
 final class TCTree(val root: TCNode) {
 
-  /** Calls `f` on every non-root node, depth-first, without collecting them. */
-  private def foreachNode(f: TCNode => Unit): Unit = {
-    val stack = mutable.Stack(root)
-    while (stack.nonEmpty) stack.pop().children.foreach { c => f(c); stack.push(c) }
-  }
+  /** Layer d holds the d-item nodes in breadth-first order. Each layer is
+    * built only when it is read, and the walk ends at the first empty one.
+    */
+  private def layers: Iterator[collection.Seq[TCNode]] =
+    Iterator.iterate(root.children: collection.Seq[TCNode])(_.flatMap(_.children)).takeWhile(_.nonEmpty)
 
   /** All non-root nodes in breadth-first order. */
-  def nodes: Vector[TCNode] = {
-    val out = Vector.newBuilder[TCNode]
-    val q = mutable.Queue(root)
-    while (q.nonEmpty) {
-      val n = q.dequeue()
-      n.children.foreach { c => out += c; q.enqueue(c) }
-    }
-    out.result()
-  }
+  def nodes: Vector[TCNode] = layers.flatten.toVector
 
   /** #Nodes of Table 3 (root excluded; every node = one maximal pattern truss). */
-  def nNodes: Int = {
-    var k = 0
-    foreachNode(_ => k += 1)
-    k
-  }
+  def nNodes: Int = layers.map(_.length).sum
 
-  def maxDepth: Int = {
-    def d(n: TCNode): Int = if (n.children.isEmpty) 0 else 1 + n.children.map(d).max
-    d(root)
-  }
+  def maxDepth: Int = layers.length
 
   /** The nodes of pattern length `depth`, in breadth-first order; walks no deeper. */
-  def nodesAtDepth(depth: Int): Vector[TCNode] = {
-    var layer = Vector(root)
-    for (_ <- 1 to depth) layer = layer.flatMap(_.children)
-    if (depth < 1) Vector.empty else layer
-  }
+  def nodesAtDepth(depth: Int): Vector[TCNode] = layers.slice(depth - 1, depth).flatten.toVector
 
   /** Largest nontrivial α over the whole tree: for α_q ≥ this, QBA returns ∅. */
-  def alphaStar: Double = {
-    var a = 0.0
-    foreachNode(n => a = math.max(a, n.decomp.maxAlpha))
-    a
-  }
+  def alphaStar: Double = layers.flatten.foldLeft(0.0)((a, n) => math.max(a, n.decomp.maxAlpha))
 
   /** Largest item of any node when the tree is wrapped, or -1 for an empty
     * tree: sizes the q flags.
     */
-  private val maxItem: Int = {
-    var m = -1
-    foreachNode(n => m = math.max(m, n.item))
-    m
-  }
+  private val maxItem: Int = layers.flatten.foldLeft(-1)((m, n) => math.max(m, n.item))
 
   /** Algorithm 5: answer query (q, α_q). Prunes a subtree as soon as the
     * child's item is outside q (its descendants cannot be sub-patterns of q)
@@ -144,27 +117,27 @@ object TCTree {
   /** Algorithm 4: build the TC-Tree of a database network.
     *
     * Layer 1 (single items) is embarrassingly parallel — the paper uses
-    * OpenMP threads; we cut the items into a few contiguous ranges per
-    * core and run one Spark task per range, with the compact network
-    * broadcast. Every deeper node lies in the subtree of
-    * one layer-1 node n_i and is built only from nodes of that subtree and
-    * from n_i's later siblings: a sibling pair (n_f, n_b) with
-    * s_{n_f} ≺ s_{n_b} yields child pattern p_f ∪ p_b whose truss is
+    * OpenMP threads; here it is one job on the `Levelwise` executor, which
+    * cuts the items into contiguous ranges and runs one Spark task per
+    * range, with the compact network broadcast. Every deeper node lies in
+    * the subtree of one layer-1 node n_i and is built only from nodes of
+    * that subtree and from n_i's later siblings: a sibling pair (n_f, n_b)
+    * with s_{n_f} ≺ s_{n_b} yields child pattern p_f ∪ p_b whose truss is
     * computed *inside* C*_{p_f}(0) ∩ C*_{p_b}(0) (Proposition 5.3). So each
     * layer-1 subtree is an independent unit of work, as in Eclat's prefix
     * equivalence classes (Zaki, TKDE 2000): the α = 0 trusses of layer 1 are
-    * broadcast as sorted edge-key arrays, and the layer-1 nodes are cut
-    * into contiguous ranges weighted by their later-sibling counts
-    * (`Levelwise.cut`, a few ranges per core). One Spark task per range
-    * grows each of its subtrees depth-first, intersecting siblings by a
-    * linear merge and skipping empty intersections before decomposing.
+    * broadcast as sorted edge-key arrays, and the second job weights each
+    * layer-1 node by its later-sibling count, which the executor cuts into
+    * contiguous ranges. One Spark task per range grows each of its subtrees
+    * depth-first, intersecting siblings by a linear merge and skipping
+    * empty intersections before decomposing.
     * Every theme network is peeled by the primitive kernel
     * (`LocalTruss.decompose` on edge keys): layer 1's are induced from the
     * supports of the items (`CompactNetwork.themeKeys`), deeper ones are
     * the sibling intersections themselves. Each task runs every
-    * intersection, decomposition and frequency in one `Workspace` of its
-    * own. The tasks return their nodes in pre-order; the driver only
-    * attaches them.
+    * intersection, decomposition and frequency in the `Workspace` the
+    * executor hands it. The tasks return their nodes in pre-order; the
+    * driver only attaches them.
     *
     * @param maxDepth safety cap on pattern length (the enumeration
     *                 terminates on its own when decompositions are empty).
@@ -189,7 +162,7 @@ object TCTree {
 
     // Layer 1: every item of S (Algorithm 4 lines 2-5).
     val items = net.items
-    val layer1 = exec(items, Levelwise.cut(Array.fill(items.length)(1L), exec.slots))(layer1Rows)
+    val layer1 = exec(items, Array.fill(items.length)(1L))(layer1Rows)
       .flatten
       .map(r => new TCNode(r.item, Vector(r.item), r.decomp))
       .toArray
@@ -200,8 +173,7 @@ object TCTree {
     if (maxDepth > 1 && layer1.length > 1) {
       val sibs = layer1.map(n => Sibling(n.item, edgeKeys(n.decomp)))
       val weights = Array.tabulate(layer1.length)(i => (layer1.length - 1 - i).toLong)
-      val subtrees = exec(sibs, Levelwise.cut(weights, exec.slots)) { (n, ss, from, until) =>
-        val ws = new Workspace
+      val subtrees = exec(sibs, weights) { (n, ss, from, until, ws) =>
         Array.tabulate(until - from) { k =>
           val i = from + k
           val out = Array.newBuilder[Row]
@@ -214,9 +186,8 @@ object TCTree {
     new TCTree(root)
   }
 
-  /** Layer-1 task: the decomposition of each item `items(from until until)`'s theme network. */
-  private def layer1Rows(net: CompactNetwork, items: Array[Int], from: Int, until: Int): Array[Row] = {
-    val ws = new Workspace
+  /** Layer-1 task: the decomposition of each item `items(from until until)`'s theme network, in `ws`. */
+  private def layer1Rows(net: CompactNetwork, items: Array[Int], from: Int, until: Int, ws: Workspace): Array[Row] = {
     val out = Array.newBuilder[Row]
     for (i <- from until until) {
       val p = Array(items(i))

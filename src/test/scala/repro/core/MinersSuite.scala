@@ -141,6 +141,10 @@ class MinersSuite extends SparkSpec {
   }
 
   test("TCS equals brute force: every pattern above eps on some vertex, then MPTD on its theme network") {
+    // Job 2 numbers the candidates across the widths and cuts them once, so
+    // some case must have a range that seeds the slices of two widths.
+    val ranges = spark.sparkContext.defaultParallelism * Levelwise.RangesPerCore
+    var crossWidth = false
     for (g <- TestNets.sparseNets(61, 6); eps <- Seq(0.0, 0.2, 0.5); maxLen <- Seq(2, Int.MaxValue)) {
       val c = g.compact
       val what = s"n=${g.n} eps=$eps maxLen=$maxLen"
@@ -157,7 +161,12 @@ class MinersSuite extends SparkSpec {
       withClue(what)(assertSameResults(got, MiningResult(expected, got.stats)))
       assert(got.stats.candidates == candidates.size && got.stats.mptdCalls == candidates.size, what)
       assert(got.stats.prunedByIntersection == 0 && got.stats.truncated == candidates.exists(_.length >= maxLen), what)
+      val start = candidates.groupBy(_.length).toSeq.sortBy(_._1).scanLeft(0)(_ + _._2.size)
+      crossWidth ||= Levelwise.cut(Array.fill(start.last)(1L), ranges).exists { case (a, b) =>
+        start.exists(s => a < s && s < b)
+      }
     }
+    assert(crossWidth, s"no job-2 range of $ranges spans two widths")
   }
 
   // ------------------------------------------------------ exactness at scale
