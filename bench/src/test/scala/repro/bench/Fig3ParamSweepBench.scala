@@ -2,7 +2,6 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.harness.Experiments
-import repro.netgen.NetGen
 
 /** Figure 3 — effect of α and ε on BFS-sampled networks: runtime and
   * NP/NV/NE of TCS(ε), TCFA and TCFI. Asserts the paper's qualitative
@@ -11,14 +10,8 @@ import repro.netgen.NetGen
   */
 class Fig3ParamSweepBench extends SparkSpec {
 
-  private lazy val bkSample = NetGen.bfsSample(NetGen.bkLike(), 2000)
-  private lazy val amSample = NetGen.bfsSample(NetGen.aminerLike(), 1000)
-
-  test("Figure 3 sweep on BK (sampled)") {
-    val rows = Experiments.fig3(spark, bkSample,
-      alphas = Seq(0.0, 0.1, 0.3, 0.5, 1.0, 2.0), epss = Seq(0.1, 0.2, 0.3))
-    println(s"== Figure 3 on BK (sampled ${bkSample.nEdges} edges) ==")
-    println(Experiments.formatMinerRows(rows))
+  for (s <- Experiments.fig3Samples) test(s"Figure 3 sweep on ${s.name} (sampled)") {
+    val rows = Experiments.printFig3(spark, s)
 
     val byAlpha = rows.groupBy(_.alpha)
     for ((a, rs) <- byAlpha) {
@@ -45,17 +38,5 @@ class Fig3ParamSweepBench extends SparkSpec {
     assert(fi0.mptdCalls < fa0.mptdCalls)
     println(f"alpha=0 MPTD calls: TCFA=${fa0.mptdCalls} TCFI=${fi0.mptdCalls} " +
       f"(pruned ${fi0.pruned}); time TCFA=${fa0.timeMs}ms TCFI=${fi0.timeMs}ms")
-  }
-
-  test("Figure 3 sweep on AMINER (sampled)") {
-    val rows = Experiments.fig3(spark, amSample,
-      alphas = Seq(0.0, 0.3, 1.0), epss = Seq(0.1, 0.3))
-    println(s"== Figure 3 on AMINER (sampled ${amSample.nEdges} edges) ==")
-    println(Experiments.formatMinerRows(rows))
-    for ((a, rs) <- rows.groupBy(_.alpha)) {
-      val fa = rs.find(_.method == "TCFA").get
-      val fi = rs.find(_.method == "TCFI").get
-      assert(fa.np == fi.np && fa.ne == fi.ne, s"alpha=$a")
-    }
   }
 }

@@ -2,8 +2,6 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.harness.Experiments
-import repro.index.TCTree
-import repro.netgen.NetGen
 
 /** Figure 5 — TC-Tree query performance: QBA (q = S, ascending α_q) and QBP
   * (α_q = 0, patterns per layer). Asserts the paper's shapes: RN and query
@@ -13,14 +11,9 @@ import repro.netgen.NetGen
   */
 class Fig5QueryBench extends SparkSpec {
 
-  private def runOn(name: String, net: repro.netgen.GenNet): Unit = {
-    val compact = net.compact
-    val tree = TCTree.build(spark, compact)
-    println(s"== Figure 5 on $name: ${tree.nNodes} TC-Tree nodes, alpha* = ${tree.alphaStar} ==")
+  for (d <- Experiments.fig5Datasets) test(s"Figure 5 on ${d.name}") {
+    val (tree, qba, qbp) = Experiments.printFig5(spark, d)
 
-    val qba = Experiments.fig5Qba(tree, compact.items.toSet)
-    println("-- QBA --")
-    println(Experiments.formatQba(qba))
     assert(qba.head.retrievedNodes == tree.nNodes)
     assert(qba.last.retrievedNodes == 0)
     val rns = qba.map(_.retrievedNodes)
@@ -31,17 +24,10 @@ class Fig5QueryBench extends SparkSpec {
     println(f"per-node retrieval cost: $perNodeMicros%.2f us")
     assert(perNodeMicros < 100.0, f"query too slow: $perNodeMicros%.1f us/node")
 
-    val qbp = Experiments.fig5Qbp(tree, samplesPerLayer = 200, reps = 3)
-    println("-- QBP --")
-    println(Experiments.formatQbp(qbp))
     assert(qbp.nonEmpty)
     // RN grows with query pattern length (every prefix node is retrieved).
     val avgRn = qbp.sortBy(_.patternLen).map(_.avgRetrievedNodes)
     assert(avgRn.zip(avgRn.tail).forall { case (a, b) => b >= a - 1e-9 },
       s"RN should not fall with pattern length: $avgRn")
   }
-
-  test("Figure 5 on BK") { runOn("BK", NetGen.bkLike()) }
-
-  test("Figure 5 on AMINER") { runOn("AMINER", NetGen.aminerLike()) }
 }

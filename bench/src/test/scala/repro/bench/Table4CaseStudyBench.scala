@@ -14,7 +14,7 @@ class Table4CaseStudyBench extends SparkSpec {
   private lazy val net = NetGen.aminerLike()
 
   test("Table 4: discovered keyword sets correspond to planted topics") {
-    val cs = Experiments.caseStudy(spark, net, alpha = 0.3, minPatternLen = 2, top = 10)
+    val cs = Experiments.caseStudy(spark, net)
     println("== Table 4: keyword sets of discovered theme communities ==")
     println(Experiments.formatCaseStudy(cs))
     assert(cs.nonEmpty)

@@ -2,7 +2,6 @@ package repro.jobs
 
 import org.apache.spark.sql.SparkSession
 import repro.harness.Experiments
-import repro.index.TCTree
 import repro.netgen.NetGen
 
 /** The spark-submit entry point: one sub-command per paper table/figure,
@@ -18,7 +17,7 @@ object Main {
     * `local[*]`), no UI. The tests build theirs here too.
     */
   def session(appName: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(appName)
       .config("spark.ui.enabled", false)
@@ -44,44 +43,18 @@ object Main {
       println("== Table 4 / Figure 6: theme communities on AMINER-like ==")
       println(Experiments.formatCaseStudy(Experiments.caseStudy(spark, NetGen.aminerLike())))
     }),
-    // Effect of α and the TCS threshold ε on BFS-sampled networks (paper:
-    // 10k/10k/5k edges; here scaled with the datasets).
+    // Effect of α and the TCS threshold ε on BFS-sampled networks.
     "fig3" -> (() => withSpark("fig3-param-sweep") { spark =>
-      val samples = Seq(
-        ("BK", NetGen.bfsSample(NetGen.bkLike(), 2000)),
-        ("GW", NetGen.bfsSample(NetGen.gwLike(), 2000)),
-        ("AMINER", NetGen.bfsSample(NetGen.aminerLike(), 1000)),
-      )
-      for ((name, net) <- samples) {
-        println(s"== Figure 3 sweep on $name (sampled ${net.nEdges} edges) ==")
-        println(Experiments.formatMinerRows(Experiments.fig3(spark, net)))
-      }
+      Experiments.fig3Samples.foreach(Experiments.printFig3(spark, _))
     }),
     // Runtime and truss sizes vs. BFS-sampled edges at the worst case α = 0.
     "fig4" -> (() => withSpark("fig4-scalability") { spark =>
-      val runs = Seq(
-        ("BK", NetGen.bkLike(), Seq(500, 1000, 2000, 4000)),
-        ("GW", NetGen.gwLike(), Seq(1000, 2000, 4000, 8000)),
-        ("AMINER", NetGen.aminerLike(), Seq(500, 1000, 2000, 4000)),
-      )
-      for ((name, base, sizes) <- runs) {
-        println(s"== Figure 4 scalability on $name ==")
-        println(Experiments.formatFig4(
-          Experiments.fig4(spark, base, sizes, tcsCutoff = sizes(sizes.length - 2), tcfaCutoff = sizes.last)))
-      }
+      Experiments.fig4Series.foreach(Experiments.printFig4(spark, _))
     }),
     // TC-Tree queries: Query-by-Alpha (q = S, ascending α_q) and
     // Query-by-Pattern (α_q = 0, patterns sampled per tree layer).
     "fig5" -> (() => withSpark("fig5-query") { spark =>
-      for (spec <- Experiments.benchDatasets) {
-        val compact = spec.gen().compact
-        val tree = TCTree.build(spark, compact)
-        println(s"== Figure 5 on ${spec.name}: ${tree.nNodes} TC-Tree nodes ==")
-        println("-- QBA --")
-        println(Experiments.formatQba(Experiments.fig5Qba(tree, compact.items.toSet)))
-        println("-- QBP --")
-        println(Experiments.formatQbp(Experiments.fig5Qbp(tree)))
-      }
+      Experiments.fig5Datasets.foreach(Experiments.printFig5(spark, _))
     }),
   )
 

@@ -214,7 +214,7 @@ private[repro] object Levelwise {
     * the next level's tasks read.
     */
   final class Rows(val patterns: PatternSet, val ends: Array[Int], val keys: Array[Long],
-                   val candidates: Long, val mptdCalls: Long, val pruned: Long)
+                   val candidates: Long, val pruned: Long)
       extends Serializable {
     def size: Int = patterns.size
     def from(r: Int): Int = if (r == 0) 0 else ends(r - 1)
@@ -230,7 +230,7 @@ private[repro] object Levelwise {
       for (b <- blocks) { b.ends.foreach(e => ends += base + e); base += b.keys.length }
       new Rows(new PatternSet(width, Array.concat(blocks.map(_.patterns.items): _*)), ends.result(),
                Array.concat(blocks.map(_.keys): _*),
-               blocks.map(_.candidates).sum, blocks.map(_.mptdCalls).sum, blocks.map(_.pruned).sum)
+               blocks.map(_.candidates).sum, blocks.map(_.pruned).sum)
     }
   }
 
@@ -326,9 +326,10 @@ private[repro] object Levelwise {
       any
     }
     val ms = (System.nanoTime() - t0) / 1000000
-    MiningResult(new TrussMap(levels.toVector),
-                 MinerStats(levels.map(_.mptdCalls).sum, levels.map(_.candidates).sum, levels.map(_.pruned).sum, ms,
-                            truncated))
+    // Every candidate is either pruned or peeled by one MPTD call.
+    val candidates = levels.map(_.candidates).sum
+    val pruned = levels.map(_.pruned).sum
+    MiningResult(new TrussMap(levels.toVector), MinerStats(candidates - pruned, candidates, pruned, ms, truncated))
   }
 
   /** Task of level 1 and of TCS: MPTD on the theme network of each pattern
@@ -374,12 +375,11 @@ private[repro] object Levelwise {
     private val keys = new mutable.ArrayBuilder.ofLong
     private var nKeys = 0
     private var candidates = 0L
-    private var mptdCalls = 0L
     private var pruned = 0L
 
     /** MPTD on the theme network of `c` within the edges keyed by `within(0 until n)`. */
     def detect(net: CompactNetwork, c: Array[Int], within: Array[Long], n: Int, alpha: Double, ws: Workspace): Unit = {
-      candidates += 1; mptdCalls += 1
+      candidates += 1
       val t = LocalTruss.mptd(within, n, net.freq(_, c, ws), alpha, ws)
       if (!t.isEmpty) {
         patterns ++= c; keys ++= t.keys
@@ -390,6 +390,6 @@ private[repro] object Levelwise {
     def prune(): Unit = { candidates += 1; pruned += 1 }
 
     def result(): Rows =
-      new Rows(new PatternSet(width, patterns.result()), ends.result(), keys.result(), candidates, mptdCalls, pruned)
+      new Rows(new PatternSet(width, patterns.result()), ends.result(), keys.result(), candidates, pruned)
   }
 }

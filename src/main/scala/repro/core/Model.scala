@@ -30,6 +30,20 @@ final case class CompactNetwork(
 
   val n: Int = adj.length
 
+  // Checked on the driver, where the network is built; a broadcast copy is
+  // deserialised without running this constructor, so it pays nothing.
+  require(txs.length == n, s"${txs.length} vertex databases for $n vertices")
+  for (u <- 0 until n; j <- adj(u).indices) {
+    val v = adj(u)(j)
+    require(v >= 0 && v < n && v != u, s"vertex $u has neighbour $v: not in 0 until $n, or itself")
+    require(j == 0 || adj(u)(j - 1) < v, s"neighbours of vertex $u are not strictly ascending")
+  }
+  for (u <- 0 until n; v <- adj(u))
+    require(java.util.Arrays.binarySearch(adj(v), u) >= 0, s"edge ($u, $v) has no reverse ($v, $u)")
+  for (u <- 0 until n; t <- txs(u))
+    require(t.forall(_ >= 0) && t.distinct.length == t.length,
+            s"vertex $u has a transaction with a negative or repeated item: ${t.mkString("[", ", ", "]")}")
+
   // The derived fields below are @transient: a broadcast then ships only
   // `adj` and `txs`, and each copy derives them again on first use.
 

@@ -20,12 +20,12 @@ final case class GenNet(
 ) {
   def nEdges: Int = edges.length
 
-  /** The network the algorithms run on: adjacency without duplicates and
-    * items distinct within each transaction.
+  /** The network the algorithms run on: adjacency without duplicates or
+    * self-loops and items distinct within each transaction.
     */
   def compact: CompactNetwork = {
     val adj = Array.fill(n)(mutable.ArrayBuffer.empty[Int])
-    edges.foreach { case (u, v) => adj(u) += v; adj(v) += u }
+    for ((u, v) <- edges if u != v) { adj(u) += v; adj(v) += u }
     CompactNetwork(
       adj.map(_.toArray.distinct.sorted),
       txs.map(_.map(_.distinct.sorted.toArray).toArray).toArray,

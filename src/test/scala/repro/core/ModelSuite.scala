@@ -101,4 +101,44 @@ class ModelSuite extends AnyFunSuite {
     val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(300), prop)
     assert(res.passed, res.status)
   }
+
+  /** A triangle 0-1-2 with one database per vertex, built from the given parts. */
+  private def triangle(adj: Array[Array[Int]] = Array(Array(1, 2), Array(0, 2), Array(0, 1)),
+                       txs: Array[Array[Array[Int]]] = Array(Array(Array(0)), Array(Array(0, 1)), Array(Array(1)))) =
+    CompactNetwork(adj, txs)
+
+  test("CompactNetwork rejects a vertex database count that is not the vertex count") {
+    assert(triangle().n == 3)
+    intercept[IllegalArgumentException](triangle(txs = Array(Array(Array(0)), Array(Array(1)))))
+    intercept[IllegalArgumentException](triangle(txs = Array.fill(4)(Array(Array(0)))))
+  }
+
+  test("CompactNetwork rejects adjacency that is unsorted, repeated, out of range, looped or one-sided") {
+    for (adj <- Seq(
+           Array(Array(2, 1), Array(0, 2), Array(0, 1)),     // not ascending
+           Array(Array(1, 1, 2), Array(0, 2), Array(0, 1)),  // repeated neighbour
+           Array(Array(1, 2, 3), Array(0, 2), Array(0, 1)),  // neighbour >= n
+           Array(Array(-1, 1, 2), Array(0, 2), Array(0, 1)), // negative neighbour
+           Array(Array(0, 1, 2), Array(0, 2), Array(0, 1)),  // self-loop
+           Array(Array(1, 2), Array(0, 2), Array(1)),        // edge (0, 2) without (2, 0)
+         ))
+      withClue(adj.map(_.mkString(",")).mkString(" | ")) {
+        intercept[IllegalArgumentException](triangle(adj = adj))
+      }
+  }
+
+  test("CompactNetwork rejects negative or repeated items in a transaction") {
+    intercept[IllegalArgumentException](triangle(txs = Array(Array(Array(0)), Array(Array(-3, 1)), Array(Array(1)))))
+    intercept[IllegalArgumentException](triangle(txs = Array(Array(Array(0)), Array(Array(1, 0, 1)), Array(Array(1)))))
+    // The same item in two transactions of one vertex is a multi-set, not a repeat.
+    assert(triangle(txs = Array(Array(Array(0), Array(0)), Array(Array(0, 1)), Array(Array(1)))).freq(0, Array(0)) == 1.0)
+  }
+
+  test("GenNet.compact drops self-loops and keeps the edge count") {
+    val withLoops = GenNet(3, Vector((0, 0), (0, 1), (1, 2), (2, 2), (0, 2)),
+                           Vector(Vector(Vector(0)), Vector(Vector(0, 1)), Vector(Vector(1))))
+    val c = withLoops.compact
+    assert(c.adj.map(_.toVector).toVector == Vector(Vector(1, 2), Vector(0, 2), Vector(0, 1)))
+    assert(c.nEdges == 3 && c.stats.nEdges == 3)
+  }
 }
